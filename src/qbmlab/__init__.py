@@ -17,7 +17,7 @@ from .kernels import (KernelTrace, noise_kernel, kernel_trace,
                       noise_kernel_quadrature)
 from .coefficients import (CoefficientSet, ExponentTrace, alpha_theory,
                            cosine_integral, diffusion_coefficient,
-                           diffusion_zero_T_free,
+                           diffusion_closed_zero_T, diffusion_zero_T_free,
                            diffusion_moments_zero_T_free, decoherence_exponent,
                            exponent_closed_zero_T, exponent_trace)
 from .evolution import (CatStateSpec, DensityGrid, EvolveConfig, TermToggles,
@@ -43,7 +43,8 @@ __all__ = [
     "noise_kernel_zero_T_closed", "noise_kernel_high_T_closed",
     "noise_kernel_quadrature",
     "CoefficientSet", "ExponentTrace", "alpha_theory", "cosine_integral",
-    "diffusion_coefficient", "diffusion_zero_T_free",
+    "diffusion_coefficient", "diffusion_closed_zero_T",
+    "diffusion_zero_T_free",
     "diffusion_moments_zero_T_free", "decoherence_exponent",
     "exponent_closed_zero_T", "exponent_trace",
     "CatStateSpec", "DensityGrid", "EvolveConfig", "TermToggles",

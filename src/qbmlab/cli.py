@@ -155,7 +155,8 @@ def _cmd_coeffs(args) -> int:
     t_grid = space(args.t_min, args.t_max, args.n)
     trace = coefficients.exponent_trace(sysp, bath, t_grid,
                                         method=args.method)
-    diff = [coefficients.diffusion_coefficient(sysp, bath, float(t))
+    diff = [coefficients.diffusion_coefficient(sysp, bath, float(t),
+                                               method=trace.method)
             for t in t_grid]
 
     out = Path(args.out)
@@ -342,7 +343,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--linear", action="store_true",
                    help="linear time grid (default logarithmic)")
     p.add_argument("--method", default="auto",
-                   choices=("auto", "closed_zero_T", "quadrature"))
+                   choices=("auto",) + coefficients.METHODS)
     p.set_defaults(func=_cmd_coeffs)
 
     p = sub.add_parser("alpha",
@@ -394,10 +395,13 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
+    """Run one subcommand.  Exit 0 on success, 1 when a scenario check
+    fails, 2 on a usage or numerical error (bad input, unreadable file,
+    quadrature budget exhausted, solver blow-up), reported on one line."""
     args = _build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except (ValueError, OSError, json.JSONDecodeError) as exc:
+    except (ValueError, OSError, RuntimeError) as exc:
         print(f"error: {exc}", file=_sys.stderr)
         return 2
 

@@ -11,8 +11,6 @@ from __future__ import annotations
 import hashlib
 import json
 import math
-import os
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -125,16 +123,6 @@ def save_config(cfg: ScenarioConfig, path) -> None:
            "output_dir": cfg.output_dir, "seed": cfg.seed}
     with open(path, "w", encoding="utf-8") as fh:
         fh.write(json.dumps(doc, sort_keys=True, indent=2) + "\n")
-
-
-def _max_threads() -> int:
-    env = os.environ.get("QBM_MAX_THREADS")
-    if env:
-        n = int(env)
-        if n < 1:
-            raise ValueError(f"QBM_MAX_THREADS must be >= 1, got {env}")
-        return n
-    return min(4, os.cpu_count() or 1)
 
 
 def _resolved(cfg: ScenarioConfig) -> dict:
@@ -273,10 +261,12 @@ def _run_separation_sweep(cfg: ScenarioConfig, out_dir: Path) -> dict:
     sysp, bath = _sys_bath(p)
     seps = [float(d) for d in p["separations"]]
     times = np.geomspace(p["t_lo"], p["t_hi"], int(p["n_points"]))
-    # Theta is separation-independent: computed once, shared read-only.
+    # Theta is separation-independent: computed once for every separation.
     theta = exponent_trace(sysp, bath, times).theta
 
-    def one(d: float):
+    rel_files: list[str] = []
+    alphas: dict[float, float] = {}
+    for d in seps:
         coh = np.exp(-d * d * theta / sysp.hbar)
         sub = f"d_{d:g}"
         _write_text(out_dir / sub / "trace.csv", _trace_csv(times, coh))
@@ -287,14 +277,8 @@ def _run_separation_sweep(cfg: ScenarioConfig, out_dir: Path) -> dict:
                "alpha_theory": alpha,
                "rel_err": abs(fit.alpha_fit - alpha) / alpha}
         _write_text(out_dir / sub / "fit.json", _json_text(doc))
-        return d, fit.alpha_fit, [f"{sub}/trace.csv", f"{sub}/fit.json"]
-
-    rel_files: list[str] = []
-    alphas: dict[float, float] = {}
-    with ThreadPoolExecutor(max_workers=_max_threads()) as pool:
-        for d, alpha_fit, files in pool.map(one, seps):
-            alphas[d] = alpha_fit
-            rel_files.extend(files)
+        alphas[d] = fit.alpha_fit
+        rel_files.extend([f"{sub}/trace.csv", f"{sub}/fit.json"])
 
     d0 = seps[0]
     checks = []

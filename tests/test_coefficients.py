@@ -5,10 +5,12 @@ import scipy.integrate
 import scipy.special
 from hypothesis import given, settings, strategies as st
 
+from qbmlab import quadrature
 from qbmlab.params import BathParams, SystemParams
 from qbmlab.coefficients import (EULER_GAMMA, CoefficientSet, ExponentTrace,
-                                 alpha_theory, cosine_integral,
-                                 decoherence_exponent, diffusion_coefficient,
+                                 _matsubara_free, _si_cin, alpha_theory,
+                                 cosine_integral, decoherence_exponent,
+                                 diffusion_coefficient,
                                  diffusion_moments_zero_T_free,
                                  diffusion_zero_T_free,
                                  exponent_closed_zero_T,
@@ -35,6 +37,26 @@ def test_ci_vs_scipy_both_branches():
         _, ci = scipy.special.sici(x)
         assert cosine_integral(x) == pytest.approx(ci, rel=1e-11,
                                                    abs=1e-13), f"x={x}"
+
+
+def test_si_cin_vs_scipy_both_branches():
+    # Si and Cin = gamma_E + ln x - Ci across the split at x = 4; Si is
+    # odd and Cin even.  Below x = 1 the scipy form of Cin cancels, so
+    # the reference there is the defining integral.
+    x = np.array([1e-6, 1e-3, 0.1, 0.5, 1.0, 2.0, 3.9, 4.0, 4.1, 10.0,
+                  100.0, 2000.0, 4e5])
+    si_ref, ci_ref = scipy.special.sici(x)
+    cin_ref = EULER_GAMMA + np.log(x) - ci_ref
+    for j in np.flatnonzero(x < 1.0):
+        cin_ref[j] = scipy.integrate.quad(
+            lambda y: 2.0 * np.sin(0.5 * y) ** 2 / y, 0.0, x[j],
+            epsabs=0.0, epsrel=1e-13)[0]
+    si, cin = _si_cin(x)
+    np.testing.assert_allclose(si, si_ref, rtol=1e-13)
+    np.testing.assert_allclose(cin, cin_ref, rtol=1e-13)
+    si_neg, cin_neg = _si_cin(-x)
+    assert np.array_equal(si_neg, -si) and np.array_equal(cin_neg, cin)
+    assert np.array_equal(_si_cin(np.zeros(2))[0], np.zeros(2))
 
 
 def test_ci_small_x_logarithmic():
@@ -84,10 +106,16 @@ def test_diffusion_zero_T_free_unit_time():
 
 
 def test_diffusion_closed_vs_quadrature():
-    for t in [1e-3, 0.01, 0.1, 1.0, 7.3]:
-        closed = diffusion_zero_T_free(SYS, BATH0, t)
-        quad = diffusion_coefficient(SYS, BATH0, t)
-        assert quad == pytest.approx(closed, rel=1e-6, abs=1e-9), f"t={t}"
+    # the kT = 0 closed form at any frequency (above the cutoff too)
+    # against the full frequency integral
+    for w in [0.0, 1e-4, 0.7, 5.0, 300.0]:
+        sysp = SystemParams(frequency=w)
+        for t in [1e-3, 0.01, 0.1, 1.0, 7.3]:
+            closed = diffusion_coefficient(sysp, BATH0, t)
+            quad = diffusion_coefficient(sysp, BATH0, t, method="quadrature")
+            assert quad == pytest.approx(closed, rel=1e-6, abs=1e-9), (w, t)
+            if w == 0.0:
+                assert closed == diffusion_zero_T_free(SYS, BATH0, t)
 
 
 def test_diffusion_moments_vs_scipy_both_branches():
@@ -106,9 +134,9 @@ def test_diffusion_moments_vs_scipy_both_branches():
                 * (t - s) ** m, 0.0, t, limit=400, epsabs=0.0, epsrel=1e-12)
             assert moments[m, j] == pytest.approx(ref, rel=1e-12), (t, m)
     assert np.all(diffusion_moments_zero_T_free(SYS, BATH0, [0.0]) == 0.0)
-    # I0 is Theta; the ln + gamma_E - Ci form cancels below Lambda t ~ 1
-    np.testing.assert_allclose(moments[0, 2:],
-                               exponent_closed_zero_T(SYS, BATH0, times[2:]),
+    # I0 is Theta, on both sides of the split
+    np.testing.assert_allclose(moments[0],
+                               exponent_closed_zero_T(SYS, BATH0, times),
                                rtol=1e-12)
 
 
@@ -184,6 +212,148 @@ def test_exponent_series_small_time():
         expect, rel=1e-8)
 
 
+def _cin_sici(x):
+    """Cin(|x|) from scipy's Ci, by its series below |x| = 1."""
+    x = np.abs(np.asarray(x, dtype=float))
+    out = EULER_GAMMA + np.log(np.where(x > 0, x, 1.0)) \
+        - scipy.special.sici(x)[1]
+    small = x < 1.0
+    term, total = np.ones_like(x[small]), np.zeros_like(x[small])
+    for k in range(1, 12):
+        term = term * (-x[small] ** 2) / ((2 * k - 1) * (2 * k))
+        total -= term / (2 * k)
+    out[small] = total
+    return out
+
+
+def _theta_sici(sysp, bath, t):
+    """Theta at kT = 0, any frequency, from scipy.special.sici."""
+    lam, w = bath.cutoff, sysp.frequency
+
+    def b(a):   # int_0^a (1 - cos(s t))/s^2 ds
+        return t * scipy.special.sici(a * t)[0] \
+            - 2.0 * np.sin(0.5 * a * t) ** 2 / a
+
+    out = (_cin_sici((lam + w) * t) + _cin_sici((lam - w) * t)
+           - 2.0 * _cin_sici(w * t)
+           + w * (b(lam - w) - b(lam + w) + 2.0 * b(w)))
+    return sysp.mass * bath.gamma / np.pi * out
+
+
+def test_exponent_closed_any_frequency_vs_sici():
+    t = np.geomspace(1e-3, 4e5, 61) / BATH0.cutoff
+    for w in [1e-4, 0.5, 3.0, 300.0]:
+        sysp = SystemParams(frequency=w)
+        np.testing.assert_allclose(exponent_closed_zero_T(sysp, BATH0, t),
+                                   _theta_sici(sysp, BATH0, t), rtol=1e-12,
+                                   err_msg=f"frequency {w}")
+
+
+def _theta_quadpack(sysp, bath, t):
+    """Theta at kT > 0 by QUADPACK: each branch is int h(u) (1 - cos ut)
+    / (2 u^2) du over u = w +- W, h = w coth(hbar w / 2 kT); past
+    u = 2 pi / t it splits into a smooth part and a weight="cos" part."""
+    a = 0.5 * sysp.hbar / bath.kT
+
+    def h(w):
+        return 1.0 / a if w == 0.0 else w / np.tanh(a * w)
+
+    total = 0.0
+    for shift in (sysp.frequency, -sysp.frequency):
+        lo, hi = shift, bath.cutoff + shift
+        cut = min(hi, max(2.0 * np.pi / t, 4.0 * abs(shift)))
+        total += scipy.integrate.quad(
+            lambda u: h(u - shift) * 0.25 * t * t
+            * np.sinc(0.5 * u * t / np.pi) ** 2, lo, cut,
+            points=[0.0] if lo < 0.0 < cut else None, limit=2000,
+            epsabs=0.0, epsrel=1e-12)[0]
+        if cut < hi:
+            total += scipy.integrate.quad(
+                lambda u: h(u - shift) / (2.0 * u * u), cut, hi, limit=200,
+                epsabs=0.0, epsrel=1e-12)[0]
+            total -= scipy.integrate.quad(
+                lambda u: h(u - shift) / (2.0 * u * u), cut, hi,
+                weight="cos", wvar=t, limit=2000, epsabs=1e-15,
+                epsrel=1e-12)[0]
+    return 2.0 * sysp.mass * bath.gamma / np.pi * total
+
+
+def test_exponent_thermal_split_vs_quadpack():
+    # closed form + Bose term against QUADPACK's oscillatory rule, with the
+    # Bose cut below (kT 0.1, 1: Matsubara sum, with its Si/Cin head and
+    # quadrature tail at W > 0) and above (kT 50: frequency quadrature)
+    # Lambda
+    for w in [1e-4, 0.7, 5.0]:
+        sysp = SystemParams(frequency=w)
+        for kT in [0.1, 1.0, 50.0]:
+            bath = BathParams(gamma=0.05, cutoff=200.0, kT=kT)
+            for t in [0.03, 2.0, 150.0]:
+                val = decoherence_exponent(sysp, bath, t)
+                ref = _theta_quadpack(sysp, bath, t)
+                assert val == pytest.approx(ref, rel=1e-9), (w, kT, t)
+
+
+def test_matsubara_free_vs_quadpack():
+    # The Bose term at W = 0 in closed form, on both sides of its series
+    # split at x = pi kT t / hbar = 1: pi (coth x - 1/x) for D against
+    # 2 int n_B sin(w t) dw / (kT / hbar), ln(sinh x / x) for Theta against
+    # 2 int n_B (1 - cos w t) / w dw, at kT = hbar = 1.
+    for x in [1e-3, 0.5, 0.999, 1.001, 3.0, 50.0]:
+        t = x / np.pi
+
+        def n_b(w):
+            return 1.0 / np.expm1(w)
+
+        d_ref = 2.0 * scipy.integrate.quad(
+            lambda w: n_b(w) * np.sin(w * t), 0.0, 40.0, limit=400,
+            epsabs=0.0, epsrel=1e-13)[0]
+        th_ref = 2.0 * scipy.integrate.quad(
+            lambda w: n_b(w) * 2.0 * np.sin(0.5 * w * t) ** 2 / w, 0.0,
+            40.0, limit=400, epsabs=0.0, epsrel=1e-13)[0]
+        assert _matsubara_free(0, x) == pytest.approx(d_ref, rel=1e-11), x
+        assert _matsubara_free(1, x) == pytest.approx(th_ref, rel=1e-11), x
+
+
+def test_diffusion_thermal_split_vs_quadrature():
+    # D by thermal_split against the full coth integral, at W = 0 (closed
+    # Bose term) and W > 0 (Si head and quadrature tail)
+    for w in [0.0, 0.7, 5.0]:
+        sysp = SystemParams(frequency=w)
+        for kT in [0.1, 1.0]:
+            bath = BathParams(gamma=0.05, cutoff=200.0, kT=kT)
+            for t in [0.003, 1.0, 150.0]:
+                val = diffusion_coefficient(sysp, bath, t)
+                ref = diffusion_coefficient(sysp, bath, t,
+                                            method="quadrature",
+                                            abs_tol=1e-16, rel_tol=1e-11)
+                assert val == pytest.approx(ref, rel=1e-9), (w, kT, t)
+
+
+def test_thermal_split_cost_flat_in_kT(monkeypatch):
+    # The Bose term's quadrature runs over y = kT s / hbar in [0, min(Y, 8)]
+    # and converges in one pass, so a trace costs about the same at any kT
+    # (a frequency cut at 40 kT / hbar made it grow tenfold over this range).
+    points = {}
+    calls = []
+    inner = quadrature.integrate
+
+    def counted(f, a, b, **kw):
+        def g(x):
+            calls.append(x.size)
+            return f(x)
+        return inner(g, a, b, **kw)
+
+    monkeypatch.setattr(quadrature, "integrate", counted)
+    t_grid = np.linspace(0.025, 187.5, 64)
+    for kT in (0.1, 1.0):
+        calls.clear()
+        exponent_trace(SYS_W, BathParams(gamma=0.02, cutoff=200.0, kT=kT),
+                       t_grid)
+        points[kT] = sum(calls)
+    assert 0 < points[1.0] <= 1.5 * points[0.1]
+    assert points[1.0] <= len(t_grid) * 8 * 2 * (16 + 8)
+
+
 def test_exponent_quadrature_vs_closed_across_five_decades():
     # Agreement <= 1e-6 relative over Lambda t in [1e-2, 1e5].  The small
     # end has Theta ~ 8e-7, so the requested absolute tolerance must sit
@@ -245,8 +415,13 @@ def test_exponent_trace_methods_and_dispatch():
     quad = exponent_trace(SYS, BATH0, t_grid, method="quadrature")
     np.testing.assert_allclose(auto.theta, quad.theta, rtol=1e-6)
     hot = exponent_trace(SYS_W, BATH_HOT, np.linspace(0.01, 0.075, 5))
-    assert hot.method == "quadrature"
+    assert hot.method == "thermal_split"
     assert np.all(np.diff(hot.theta) > 0)
+    hot_quad = exponent_trace(SYS_W, BATH_HOT, hot.t_grid,
+                              method="quadrature")
+    np.testing.assert_allclose(hot.theta, hot_quad.theta, rtol=1e-7)
+    with pytest.raises(ValueError, match="kT = 0"):
+        exponent_trace(SYS_W, BATH_HOT, hot.t_grid, method="closed_zero_T")
 
 
 def test_exponent_trace_validation():

@@ -11,8 +11,8 @@ import pytest
 from qbmlab import cli
 from qbmlab.coefficients import alpha_theory
 from qbmlab.params import BathParams, SystemParams
-from qbmlab.scenarios import (ScenarioConfig, _max_threads, load_config,
-                              run_scenario, save_config)
+from qbmlab.scenarios import (ScenarioConfig, load_config, run_scenario,
+                              save_config)
 
 SYS = SystemParams()
 BATH = BathParams(gamma=0.05, cutoff=200.0, kT=0.0)
@@ -68,16 +68,6 @@ def test_config_rejects_bad_separations():
     with pytest.raises(ValueError, match="separations"):
         ScenarioConfig(scenario="separation_sweep",
                        params={"separations": []})
-
-
-def test_max_threads_env_override(monkeypatch):
-    monkeypatch.setenv("QBM_MAX_THREADS", "2")
-    assert _max_threads() == 2
-    monkeypatch.setenv("QBM_MAX_THREADS", "0")
-    with pytest.raises(ValueError, match="QBM_MAX_THREADS"):
-        _max_threads()
-    monkeypatch.delenv("QBM_MAX_THREADS")
-    assert _max_threads() >= 1
 
 
 # -------------------------------------------------------------- scenarios
@@ -185,6 +175,16 @@ def test_cli_coeffs_table(tmp_path):
     assert len(rows) == 9
     theta = np.array([float(r.split(",")[2]) for r in rows[1:]])
     assert np.all(np.diff(theta) > 0)   # exponent accumulates monotonically
+
+
+def test_cli_coeffs_numerical_error_exits_2(tmp_path, capsys):
+    # at t = 1e6 the Bose term's panelization needs ~6.4e7 panels, past
+    # the quadrature's cap: a numerical error, not a failed check
+    assert cli.main(["coeffs", "--out", str(tmp_path), "--kT", "50",
+                     "--t-min", "1", "--t-max", "1e6", "--n", "2"]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: initial panelization needs")
+    assert len(err.strip().splitlines()) == 1
 
 
 # ------------------------------------------------------------ cli: evolve
