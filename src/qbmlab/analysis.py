@@ -84,8 +84,9 @@ class ModelSelection:
 
 def fringe_visibility(rho: DensityGrid, spec: CatStateSpec) -> float:
     """2|rho(x+, x-)| / (rho(x+,x+) + rho(x-,x-)) at the packet centers
-    x+- = grid_center +- separation/2, read with bilinear interpolation.
-    Returns 1 for separation = 0 (the two sample points coincide)."""
+    x+- = grid_center +- separation/2, read from the grid's DST-I
+    sine-series interpolant (exact at grid nodes).  Returns 1 for
+    separation = 0 (the two sample points coincide)."""
     return _visibility(rho.values, rho.extent, spec)
 
 

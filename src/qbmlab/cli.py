@@ -191,18 +191,12 @@ def _cmd_evolve(args) -> int:
                                   width=args.width,
                                   grid_center=args.grid_center)
     rho0 = evolution.init_cat_state(spec, args.grid_n, args.grid_extent)
-    if bath.kT == 0 and sysp.frequency == 0:
-        coeffs = coefficients.CoefficientSet.zero_T_free(sysp, bath)
-    else:
-        coeffs = coefficients.CoefficientSet.for_params(sysp, bath)
     dt = args.dt if args.dt is not None else evolution.suggest_timestep(
-        sysp, rho0, coeffs, args.t_end)
+        sysp, bath, spec.separation, args.t_end)
     cfg = evolution.EvolveConfig(dt=dt, t_end=args.t_end,
-                                 scheme=args.scheme,
                                  record_every=args.record_every,
                                  boundary=args.boundary)
-    result = evolution.evolve_full(rho0, sysp, bath, coeffs, cfg,
-                                   cat_spec=spec)
+    result = evolution.evolve_full(rho0, sysp, bath, cfg, cat_spec=spec)
 
     out = Path(args.out)
     _write_csv(out / "evolve.csv", "t,visibility,trace,herm_residual,purity",
@@ -364,11 +358,10 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--grid-n", type=int, default=160)
     p.add_argument("--grid-extent", type=float, default=8.0)
     p.add_argument("--dt", type=float, default=None,
-                   help="time step (default: stability-derived)")
+                   help="time step (default: from the accuracy rule of "
+                        "suggest_timestep)")
     p.add_argument("--t-end", type=float, default=0.1)
     p.add_argument("--record-every", type=int, default=100)
-    p.add_argument("--scheme", default="rk4_method_of_lines",
-                   choices=evolution.SCHEMES)
     p.add_argument("--boundary", default="dirichlet_zero",
                    choices=evolution.BOUNDARIES)
     p.add_argument("--snapshots", action="store_true",

@@ -272,13 +272,15 @@ def _route(bath: BathParams, method: str) -> str:
 
 def _frequency_integral(kernel, weight, upper: float, sys: SystemParams,
                         bath: BathParams, t: float, abs_tol: float,
-                        rel_tol: float) -> float:
-    """p int_0^upper weight(w) kernel(w) dw at scalar t > 0."""
+                        rel_tol: float, points=()) -> float:
+    """p int_0^upper weight(w) kernel(w) dw at scalar t > 0, with panel
+    breaks at ``points``."""
     pref = 2.0 * sys.mass * bath.gamma / np.pi
     k = kernel(sys.frequency, t)
     value, _ = quadrature.integrate(lambda w: pref * weight(w) * k(w), 0.0,
                                     upper, max_width=np.pi / t,
-                                    abs_tol=abs_tol, rel_tol=rel_tol)
+                                    points=points, abs_tol=abs_tol,
+                                    rel_tol=rel_tol)
     return value
 
 
@@ -348,9 +350,15 @@ def _coefficient(closed, kernel, order: int, sys: SystemParams,
     if t == 0:
         return 0.0
     if method == "quadrature":
+        # The coth weight bends from 2 kT/hbar to w over a few kT/hbar, far
+        # inside a first panel of width pi/t at small kT t, where the
+        # adaptive rule converges without seeing the bend.  A break at
+        # _BOSE_CUT kT/hbar, past which the weight is w to e^-40, gives
+        # the bend panels of its own scale.
         return _frequency_integral(kernel, _thermal_weight(sys, bath),
                                    bath.cutoff, sys, bath, t, abs_tol,
-                                   rel_tol)
+                                   rel_tol,
+                                   points=(_BOSE_CUT * bath.kT / sys.hbar,))
     value = closed(sys, bath, t)
     return value + _bose_part(kernel, order, sys, bath, t, value, abs_tol,
                               rel_tol)

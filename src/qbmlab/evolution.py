@@ -5,18 +5,18 @@ Two evolution paths:
 * ``evolve_dephasing`` — the pure-dephasing closed form: every element is
   multiplied by exp(-(x - x')^2 * Theta(t) / hbar), the exact solution when
   only the position-diffusion term acts.  No grid stepping involved.
-* ``evolve_full`` — explicit RK4 method-of-lines for the weak-coupling
-  master equation with all five terms::
+* ``evolve_full`` — symmetric Strang splitting of the master equation with
+  its kinetic, potential and diffusion terms::
 
       drho/dt = (i hbar / 2M)(d^2/dx^2 - d^2/dx'^2) rho
-                - (i M / 2 hbar)(Omega^2 + freq_shift(t)) (x^2 - x'^2) rho
-                - dissipation(t) (x - x') (d/dx - d/dx') rho
-                - (diffusion(t) / hbar) (x - x')^2 rho
-                - i anomalous(t) (x - x') (d/dx + d/dx') rho
+                - (i M Omega^2 / 2 hbar) (x^2 - x'^2) rho
+                - (D(t) / hbar) (x - x')^2 rho
 
-  with centered second-order differences and Dirichlet-zero boundaries.
-  Individual terms can be toggled off (``TermToggles``) to compare limits
-  against closed forms.
+  with the centered second difference and Dirichlet-zero boundaries for
+  d^2/dx^2.  Each step is D/2 K D/2, and every substep is exact: the
+  potential and diffusion terms act elementwise, and the kinetic term is
+  diagonal in the DST-I basis.  Individual terms can be toggled off
+  (``TermToggles``) to compare limits against closed forms.
 
 A grid-free exact route covers the free particle at kT = 0 with only the
 kinetic and diffusion terms acting: ``free_cat_log_rho`` and
@@ -30,14 +30,14 @@ from __future__ import annotations
 
 import math
 import struct
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 from .params import SystemParams, BathParams
 from .coefficients import (CoefficientSet, decoherence_exponent,
                            diffusion_moments_zero_T_free,
-                           diffusion_zero_T_free)
+                           diffusion_zero_T_free, exponent_trace)
 
 __all__ = [
     "CatStateSpec", "DensityGrid", "EvolveConfig", "TermToggles",
@@ -55,12 +55,15 @@ MIN_POINTS_PER_WIDTH = 8.0
 TAIL_WIDTHS = 12.0
 MIN_GRID_POINTS = 64
 
-SCHEMES = ("rk4_method_of_lines",)
 BOUNDARIES = ("dirichlet_zero",)
 
-# Explicit RK4 stays stable for a pure-decay rate r while dt*r <= 2.785;
-# suggest_timestep keeps a margin below that.
-DECAY_STABILITY_MARGIN = 2.5
+# suggest_timestep's accuracy rule.  The grid is checked against the exact
+# route until the cat's pure-dephasing visibility exp(-d^2 Theta / hbar)
+# falls to RESOLVED_VISIBILITY, at t_res; the rule puts STEPS_TO_RESOLVE
+# steps before t_res, and at least MIN_STEPS over the run.
+RESOLVED_VISIBILITY = 1e-2
+STEPS_TO_RESOLVE = 8
+MIN_STEPS = 16
 
 
 @dataclass(frozen=True)
@@ -112,7 +115,6 @@ class DensityGrid:
 class EvolveConfig:
     dt: float
     t_end: float
-    scheme: str = "rk4_method_of_lines"
     record_every: int = 100
     boundary: str = "dirichlet_zero"
 
@@ -121,8 +123,6 @@ class EvolveConfig:
             raise ValueError(f"dt must be > 0, got {self.dt}")
         if self.t_end <= 0:
             raise ValueError(f"t_end must be > 0, got {self.t_end}")
-        if self.scheme not in SCHEMES:
-            raise ValueError(f"unknown scheme {self.scheme!r}; options {SCHEMES}")
         if self.record_every < 1:
             raise ValueError(f"record_every must be >= 1, got {self.record_every}")
         if self.boundary not in BOUNDARIES:
@@ -136,9 +136,7 @@ class TermToggles:
     kinetic+potential reduces the equation to the pure-dephasing limit."""
     kinetic: bool = True
     potential: bool = True
-    dissipation: bool = True
     diffusion: bool = True
-    anomalous: bool = True
 
 
 @dataclass(frozen=True)
@@ -350,172 +348,214 @@ def _sample(v: np.ndarray, extent: tuple[float, float], xa: float,
                    + wa * wb * v[ia + 1, ib + 1])
 
 
+def _dst_matrix(n: int) -> np.ndarray:
+    """The DST-I matrix S_mk = sqrt(2/(n+1)) sin(pi m k/(n+1)), m, k = 1..n.
+    It is symmetric and orthogonal (S S = 1), and it diagonalises the
+    Dirichlet-zero second difference (_laplacian_eigenvalues)."""
+    m = np.arange(1, n + 1)
+    # m k is reduced mod 2(n+1) first, so that sin sees arguments < 2 pi
+    return math.sqrt(2.0 / (n + 1)) * np.sin(
+        np.pi / (n + 1) * (np.outer(m, m) % (2 * (n + 1))))
+
+
+def _laplacian_eigenvalues(n: int, dx: float) -> np.ndarray:
+    """Eigenvalues -4 sin^2(pi m / 2(n+1)) / dx^2, m = 1..n, of the centered
+    second difference with Dirichlet-zero ghosts, in _dst_matrix's order."""
+    m = np.arange(1, n + 1)
+    return -4.0 * np.sin(0.5 * np.pi * m / (n + 1)) ** 2 / (dx * dx)
+
+
+def _sine_weights(s: np.ndarray, extent: tuple[float, float],
+                  x: float) -> np.ndarray:
+    """Weights w with v(x, x') ~ w(x) . v . w(x'), the DST-I sine-series
+    interpolant of grid values v (s from _dst_matrix): w = S u(x) with
+    u_m(x) = sqrt(2/(n+1)) sin(pi m (x - x_0 + dx) / ((n+1) dx)).  At a
+    grid node w is the unit vector of that node.  Raises if x is outside
+    the grid."""
+    lo, hi = extent
+    if not lo <= x <= hi:
+        raise ValueError(
+            f"sample point {x:g} outside grid extent [{lo:g}, {hi:g}]")
+    n = s.shape[0]
+    node = (x - lo) / (hi - lo) * (n - 1) + 1.0     # 1-based node position
+    m = np.arange(1, n + 1)
+    u = math.sqrt(2.0 / (n + 1)) * np.sin(
+        np.pi / (n + 1) * np.mod(m * node, 2 * (n + 1)))
+    return s @ u
+
+
+def _cat_probe(s: np.ndarray, extent: tuple[float, float],
+               spec: CatStateSpec):
+    """Sine-series weights at the packet centers x+ and x-, or None for the
+    degenerate cat (separation 0, both points coincide)."""
+    if spec.separation == 0.0:
+        return None
+    return (_sine_weights(s, extent, spec.grid_center + 0.5 * spec.separation),
+            _sine_weights(s, extent, spec.grid_center - 0.5 * spec.separation))
+
+
+def _probe_visibility(v: np.ndarray, probe) -> float:
+    """2|rho(x+, x-)| / (rho(x+, x+) + rho(x-, x-)) of the grid values v at
+    the weights of _cat_probe; reads v in place, so the solver can probe
+    its live array."""
+    if probe is None:
+        return 1.0
+    wp, wm = probe
+    vp, vm = v @ wp, v @ wm
+    return 2.0 * abs(wp @ vm) / ((wp @ vp).real + (wm @ vm).real)
+
+
 def _visibility(v: np.ndarray, extent: tuple[float, float],
                 spec: CatStateSpec) -> float:
-    """Fringe visibility of the grid values v spanning extent (see
-    analysis.fringe_visibility); reads v in place, so the solver can probe
-    its live array."""
-    if spec.separation == 0.0:
-        return 1.0   # degenerate cat: both sample points coincide
-    xp = spec.grid_center + 0.5 * spec.separation
-    xm = spec.grid_center - 0.5 * spec.separation
-    off = abs(_sample(v, extent, xp, xm))
-    dp = _sample(v, extent, xp, xp).real
-    dm = _sample(v, extent, xm, xm).real
-    return 2.0 * off / (dp + dm)
+    """Fringe visibility of the grid values v spanning extent, read by the
+    sine-series interpolant (see analysis.fringe_visibility)."""
+    return _probe_visibility(
+        v, _cat_probe(_dst_matrix(v.shape[0]), extent, spec))
 
 
-def suggest_timestep(sys: SystemParams, grid: DensityGrid,
-                     coeffs: CoefficientSet, t_end: float, *,
-                     cfl_fraction: float = 0.1, n_probe: int = 512) -> float:
-    """Time step satisfying both the kinetic CFL bound (with margin
-    ``cfl_fraction``) and RK4 decay stability for the diffusion term at the
-    grid's largest |x - x'| over [0, t_end] (coefficient probed on a dense
-    grid)."""
-    dx = grid.dx
-    dt = cfl_fraction * 0.25 * sys.mass * dx * dx / sys.hbar
-    q_max = grid.extent[1] - grid.extent[0]
-    rate_max = 0.0
-    for tq in np.linspace(0.0, t_end, n_probe):
-        rate = abs(float(coeffs.diffusion(float(tq)))) * q_max * q_max / sys.hbar
-        rate_max = max(rate_max, rate)
-    if rate_max > 0:
-        dt = min(dt, DECAY_STABILITY_MARGIN / rate_max)
-    return dt
+def suggest_timestep(sys: SystemParams, bath: BathParams, separation: float,
+                     t_end: float) -> float:
+    """Time step for evolve_full over [0, t_end] from the accuracy rule:
+    STEPS_TO_RESOLVE steps before t_res, the time at which the pure-dephasing
+    visibility exp(-separation^2 Theta(t) / hbar) falls to
+    RESOLVED_VISIBILITY, and at least MIN_STEPS steps in all.
 
-
-def _second_diff(rho: np.ndarray, axis: int, out: np.ndarray) -> None:
-    """Centered second difference with Dirichlet-zero ghosts, into out.
-    The interior is built in out itself: a full-grid temporary per call
-    costs more than the arithmetic."""
-    if axis == 1:
-        rho, out = rho.T, out.T
-    inner = out[1:-1]
-    np.multiply(rho[1:-1], 2.0, out=inner)
-    np.subtract(rho[2:], inner, out=inner)
-    np.add(inner, rho[:-2], out=inner)
-    out[0] = rho[1] - 2.0 * rho[0]
-    out[-1] = rho[-2] - 2.0 * rho[-1]
-
-
-def _first_diff(rho: np.ndarray, axis: int, out: np.ndarray) -> None:
-    """Centered first difference (unscaled by 1/2dx), Dirichlet-zero ghosts."""
-    if axis == 0:
-        out[1:-1, :] = rho[2:, :] - rho[:-2, :]
-        out[0, :] = rho[1, :]
-        out[-1, :] = -rho[-2, :]
-    else:
-        out[:, 1:-1] = rho[:, 2:] - rho[:, :-2]
-        out[:, 0] = rho[:, 1]
-        out[:, -1] = -rho[:, -2]
+    t_res is bracketed on 64 samples of Theta over [0, t_end], the bracket
+    is narrowed twice more the same way, and its lower end is taken, so
+    the rule never puts fewer steps before the true t_res."""
+    dt = t_end / MIN_STEPS
+    if separation == 0.0:
+        return dt
+    level = -sys.hbar * math.log(RESOLVED_VISIBILITY) / separation ** 2
+    lo, hi = 0.0, t_end
+    for _ in range(3):
+        t = np.linspace(lo, hi, 65)[1:]
+        hit = np.flatnonzero(exponent_trace(sys, bath, t).theta >= level)
+        if hit.size == 0:
+            return dt          # only on the first pass: never reached
+        k = int(hit[0])
+        lo, hi = (float(t[k - 1]) if k else lo), float(t[k])
+    t_res = lo if lo > 0.0 else hi
+    return min(dt, t_res / STEPS_TO_RESOLVE)
 
 
 def evolve_full(rho0: DensityGrid, sys: SystemParams, bath: BathParams,
-                coeffs: CoefficientSet, cfg: EvolveConfig, *,
-                terms: TermToggles | None = None,
+                cfg: EvolveConfig, *, terms: TermToggles | None = None,
                 cat_spec: CatStateSpec | None = None) -> EvolutionResult:
-    """RK4 method-of-lines run from rho0.time to rho0.time + t_end.
+    """Strang-split run from rho0.time to rho0.time + t_end.
 
-    Scalar diagnostics (trace, hermiticity residual, purity, visibility)
-    are appended every step; full grids are kept every ``record_every``
-    steps plus the initial and final states.  Raises on the kinetic
-    stability violation up front and on non-finite values mid-run (with
-    the step index).
+    Each step of length h is D(h/2) K(h) D(h/2), and each substep is the
+    exact flow of its terms, so the scheme is second order in h with no
+    stability bound on it:
+
+    * D, from t_a to t_b, multiplies elementwise by
+      exp(-(x - x')^2 [Theta(t_b) - Theta(t_a)] / hbar
+          - i (M Omega^2 / 2 hbar)(x^2 - x'^2)(t_b - t_a)),
+      the diffusion and potential terms.  Theta at every half-step time
+      comes from one exponent_trace call; D(t) is never sampled.
+    * K is the kinetic flow, S [(S rho S) * exp(i hbar h (lam_i - lam_j) /
+      2M)] S, with S the DST-I matrix and lam the eigenvalues of the
+      Dirichlet-zero second difference.  The phase matrix is the outer
+      product of e = exp(i hbar h lam / 2M) with its conjugate, so this
+      is U rho U^H with U = S diag(e) S: two complex matrix products.
+
+    Scalar diagnostics (trace, hermiticity residual, purity, visibility
+    read by the sine-series interpolant) are appended every step; full
+    grids are kept every ``record_every`` steps plus the initial and final
+    states.  Raises RuntimeError when Theta is not finite, or when the
+    state turns non-finite (with the step index).
     """
     if terms is None:
         terms = TermToggles()
-    dx = rho0.dx
-    cfl = 0.25 * sys.mass * dx * dx / sys.hbar
-    if terms.kinetic and cfg.dt > cfl * (1.0 + 1e-12):
-        raise ValueError(
-            f"dt = {cfg.dt:g} violates the kinetic stability bound "
-            f"0.25*M*dx^2/hbar = {cfl:g}")
+    n, dx, t0 = rho0.n, rho0.dx, rho0.time
+    n_steps = max(1, int(math.ceil(cfg.t_end / cfg.dt - 1e-12)))
+    elapsed = np.arange(n_steps + 1) * cfg.dt
+    elapsed[-1] = cfg.t_end
+    times = t0 + elapsed
+    # step times at even, half-step times at odd indices
+    t_half = np.empty(2 * n_steps + 1)
+    t_half[0::2] = times
+    t_half[1::2] = 0.5 * (times[:-1] + times[1:])
+    dt_half = np.diff(t_half)
 
     x = rho0.axis()
-    q = x[:, None] - x[None, :]
-    q2 = q * q
-    x2_diff = (x * x)[:, None] - (x * x)[None, :]
-    kin_scale = 1j * sys.hbar / (2.0 * sys.mass * dx * dx)
-    inv_2dx = 1.0 / (2.0 * dx)
-    omega2 = sys.frequency * sys.frequency
-
-    buf_a = np.empty_like(rho0.values)
-    buf_b = np.empty_like(rho0.values)
-
-    def rhs(t: float, rho: np.ndarray) -> np.ndarray:
-        out = np.zeros_like(rho)
-        if terms.kinetic:
-            _second_diff(rho, 0, buf_a)
-            _second_diff(rho, 1, buf_b)
-            out += kin_scale * (buf_a - buf_b)
-        if terms.potential:
-            w2 = omega2 + float(coeffs.freq_shift(t))
-            if w2 != 0.0:
-                out += (-0.5j * sys.mass * w2 / sys.hbar) * x2_diff * rho
-        gam = float(coeffs.dissipation(t)) if terms.dissipation else 0.0
-        ano = float(coeffs.anomalous(t)) if terms.anomalous else 0.0
-        if gam != 0.0 or ano != 0.0:
-            _first_diff(rho, 0, buf_a)
-            _first_diff(rho, 1, buf_b)
-            if gam != 0.0:
-                out += (-gam * inv_2dx) * q * (buf_a - buf_b)
-            if ano != 0.0:
-                out += (-1j * ano * inv_2dx) * q * (buf_a + buf_b)
-        if terms.diffusion:
-            dcoef = float(coeffs.diffusion(t))
-            if dcoef != 0.0:
-                out += (-dcoef / sys.hbar) * q2 * rho
-        return out
-
-    t0 = rho0.time
-    n_steps = max(1, int(math.ceil(cfg.t_end / cfg.dt - 1e-12)))
-    rho = rho0.values.copy()
-
-    times = [t0]
-    traces = [float(np.sum(rho.diagonal().real) * dx)]
-    residuals = [float(np.max(np.abs(rho - rho.conj().T)))]
-    purities = [float(np.sum(np.abs(rho) ** 2) * dx * dx)]
-    visibilities = []
-
-    def snap(t: float) -> DensityGrid:
-        return DensityGrid(n=rho0.n, extent=rho0.extent, values=rho.copy(),
-                           time=t)
-
-    def vis_now() -> float:
-        if cat_spec is None:
-            return math.nan
-        return _visibility(rho, rho0.extent, cat_spec)
-
-    visibilities.append(vis_now())
-    snapshots = [snap(t0)]
-    snapshot_steps = [0]
-
-    elapsed = 0.0
-    for k in range(1, n_steps + 1):
-        h = min(cfg.dt, cfg.t_end - elapsed)
-        t = t0 + elapsed
-        k1 = rhs(t, rho)
-        k2 = rhs(t + 0.5 * h, rho + (0.5 * h) * k1)
-        k3 = rhs(t + 0.5 * h, rho + (0.5 * h) * k2)
-        k4 = rhs(t + h, rho + h * k3)
-        rho += (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
-        elapsed += h
-        tk = t0 + elapsed
-        if not np.isfinite(rho).all():
+    d_theta = np.zeros_like(dt_half)
+    if terms.diffusion:
+        try:
+            theta = exponent_trace(sys, bath, t_half).theta
+        except ValueError as exc:   # ExponentTrace refuses a non-finite Theta
             raise RuntimeError(
-                f"non-finite values detected at step {k} (t = {tk:.6g}); "
-                "reduce dt or check coefficient scales")
-        times.append(tk)
+                f"Theta(t) is not finite on [{t_half[0]:.6g}, "
+                f"{t_half[-1]:.6g}]: {exc}") from exc
+        d_theta = np.diff(theta)
+    neg_q2 = -np.subtract.outer(x, x) ** 2 / sys.hbar
+    potential = None
+    if terms.potential and sys.frequency != 0.0:
+        potential = (-0.5j * sys.mass * sys.frequency ** 2 / sys.hbar) \
+            * np.subtract.outer(x * x, x * x)
+
+    s = _dst_matrix(n) if terms.kinetic or cat_spec is not None else None
+    probe = None if cat_spec is None else _cat_probe(s, rho0.extent,
+                                                     cat_spec)
+    if terms.kinetic:
+        lam = _laplacian_eigenvalues(n, dx)
+
+        def propagator(h: float):
+            u = (s * np.exp((0.5j * sys.hbar * h / sys.mass) * lam)) @ s
+            return u, np.ascontiguousarray(u.conj().T)
+
+        kinetic = [propagator(cfg.dt)] * n_steps
+        # t_end - (n_steps - 1) dt is off dt by rounding alone when
+        # t_end / dt is whole; that last step keeps dt's propagator
+        h_last = cfg.t_end - float(elapsed[-2])
+        if not math.isclose(h_last, cfg.dt, rel_tol=1e-9):
+            kinetic[-1] = propagator(h_last)
+
+    rho = rho0.values.copy()
+    buf = np.empty_like(rho)
+
+    def dephase(j: int) -> None:
+        if potential is not None:
+            np.multiply(rho, np.exp(neg_q2 * d_theta[j]
+                                    + potential * dt_half[j]), out=rho)
+        elif d_theta[j] != 0.0:
+            np.multiply(rho, np.exp(neg_q2 * d_theta[j]), out=rho)
+
+    traces, residuals, purities, visibilities = [], [], [], []
+
+    def record() -> float:
         traces.append(float(np.sum(rho.diagonal().real) * dx))
         residuals.append(float(np.max(np.abs(rho - rho.conj().T))))
-        purities.append(float(np.sum(np.abs(rho) ** 2) * dx * dx))
-        visibilities.append(vis_now())
+        purities.append(float(np.vdot(rho, rho).real) * dx * dx)
+        visibilities.append(math.nan if cat_spec is None
+                            else _probe_visibility(rho, probe))
+        return purities[-1]
+
+    def snap(t: float) -> DensityGrid:
+        return DensityGrid(n=n, extent=rho0.extent, values=rho.copy(),
+                           time=t)
+
+    record()
+    snapshots = [snap(t0)]
+    snapshot_steps = [0]
+    for k in range(1, n_steps + 1):
+        dephase(2 * k - 2)
+        if terms.kinetic:
+            u, uh = kinetic[k - 1]
+            np.matmul(u, rho, out=buf)
+            np.matmul(buf, uh, out=rho)
+        dephase(2 * k - 1)
+        # the sum of |rho|^2 is finite only if every element is
+        if not math.isfinite(record()):
+            raise RuntimeError(
+                f"non-finite values detected at step {k} "
+                f"(t = {times[k]:.6g})")
         if k % cfg.record_every == 0 or k == n_steps:
-            snapshots.append(snap(tk))
+            snapshots.append(snap(float(times[k])))
             snapshot_steps.append(k)
 
     return EvolutionResult(
-        times=np.asarray(times), trace=np.asarray(traces),
+        times=times, trace=np.asarray(traces),
         herm_residual=np.asarray(residuals), purity=np.asarray(purities),
         visibility=np.asarray(visibilities), snapshots=snapshots,
         snapshot_steps=snapshot_steps)

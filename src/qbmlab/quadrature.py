@@ -65,13 +65,15 @@ def _panel_sums(f, left, right):
 
 
 def integrate(f, a: float, b: float, *, max_width: float | None = None,
-              abs_tol: float = ABS_TOL, rel_tol: float = REL_TOL,
+              points=(), abs_tol: float = ABS_TOL, rel_tol: float = REL_TOL,
               max_refine: int = 40, max_panels: int = 1 << 21):
     """Integrate ``f`` over [a, b]; return ``(value, error_estimate)``.
 
     ``f`` must accept a 1-D ndarray and evaluate elementwise.
     ``max_width`` caps the initial panel width (pass the oscillation
     half-period, e.g. pi/(2*s) for an integrand containing cos(omega*s)).
+    ``points`` inside (a, b) become initial panel edges too: place them
+    where f changes on a scale far below ``max_width``.
     Raises :class:`QuadratureError` if the panel budget or refinement
     round limit is exhausted before the tolerance is met.
     """
@@ -87,6 +89,9 @@ def integrate(f, a: float, b: float, *, max_width: float | None = None,
                 f"initial panelization needs {n0} panels > cap {max_panels}",
                 achieved=np.inf)
     edges = np.linspace(a, b, n0 + 1)
+    inner = [p for p in points if a < p < b]
+    if inner:
+        edges = np.union1d(edges, inner)
     left, right = edges[:-1], edges[1:]
     vals, errs, resabs = _panel_sums(f, left, right)
 

@@ -20,8 +20,8 @@ from .params import (SystemParams, BathParams, coherence_length,
                      decoherence_time, derive_timescales, default_fit_window)
 from .coefficients import (CoefficientSet, alpha_theory, decoherence_exponent,
                            exponent_trace)
-from .evolution import (CatStateSpec, EvolveConfig, TermToggles,
-                        evolve_dephasing, evolve_full,
+from .evolution import (RESOLVED_VISIBILITY, CatStateSpec, EvolveConfig,
+                        TermToggles, evolve_dephasing, evolve_full,
                         free_cat_log_visibility, init_cat_state,
                         suggest_timestep, write_snapshot)
 from .analysis import CoherenceTrace, _ols, fit_power_law, model_select
@@ -60,12 +60,17 @@ APPROX_SEP_MULTIPLE = 3.0
 
 # The grid's fringe visibility must match the exact route to GRID_EXACT_TOL
 # (relative) wherever the exact visibility is at least
-# GRID_EXACT_MIN_VISIBILITY; inside the fit window a larger deviation marks
-# the grid as below its noise floor there.
+# GRID_EXACT_MIN_VISIBILITY, the level suggest_timestep resolves; inside
+# the fit window a larger deviation marks the grid as below its noise
+# floor there.
 GRID_EXACT_TOL = 2e-2
-GRID_EXACT_MIN_VISIBILITY = 1e-2
+GRID_EXACT_MIN_VISIBILITY = RESOLVED_VISIBILITY
 
 _FLOAT_FMT = "{:.12e}"
+# vis_full.csv carries 17 significant digits, enough to round-trip every
+# double: the grid-vs-exact deviation a reader recomputes from it is about
+# 1e-7, and 13 digits would leave only six digits of it.
+_ROUND_TRIP_FMT = "{:.16e}"
 
 
 @dataclass(frozen=True)
@@ -306,20 +311,16 @@ def _run_full_vs_dephasing(cfg: ScenarioConfig, out_dir: Path) -> dict:
             "coherence_length")
 
     rho0 = init_cat_state(spec, int(p["grid_n"]), p["grid_extent"])
-    if bath.kT == 0 and sysp.frequency == 0:
-        coeffs = CoefficientSet.zero_T_free(sysp, bath)
-    else:
-        coeffs = CoefficientSet.for_params(sysp, bath)
     dt = p["dt"] if p["dt"] is not None else suggest_timestep(
-        sysp, rho0, coeffs, p["t_end"])
+        sysp, bath, spec.separation, p["t_end"])
     p = {**p, "dt": dt}
     run_cfg = EvolveConfig(dt=dt, t_end=p["t_end"],
                            record_every=int(p["record_every"]))
-    result = evolve_full(rho0, sysp, bath, coeffs, run_cfg, cat_spec=spec)
+    result = evolve_full(rho0, sysp, bath, run_cfg, cat_spec=spec)
 
     lines = ["t,visibility,trace,herm_residual,purity"]
     for i in range(len(result.times)):
-        lines.append(",".join(_FLOAT_FMT.format(v) for v in (
+        lines.append(",".join(_ROUND_TRIP_FMT.format(v) for v in (
             result.times[i], result.visibility[i], result.trace[i],
             result.herm_residual[i], result.purity[i])))
     _write_text(out_dir / "vis_full.csv", "\n".join(lines) + "\n")
@@ -338,20 +339,20 @@ def _run_full_vs_dephasing(cfg: ScenarioConfig, out_dir: Path) -> dict:
     # to the closed-form elementwise factor.
     t_cmp = min(0.02, p["t_end"])
     dep_cfg = EvolveConfig(dt=dt, t_end=t_cmp, record_every=10 ** 9)
-    toggles = TermToggles(kinetic=False, potential=False, dissipation=False,
-                          anomalous=False)
-    dep_run = evolve_full(rho0, sysp, bath, coeffs, dep_cfg, terms=toggles)
+    toggles = TermToggles(kinetic=False, potential=False)
+    dep_run = evolve_full(rho0, sysp, bath, dep_cfg, terms=toggles)
     dep_exact = evolve_dephasing(rho0, sysp, bath, t_cmp)
     max_norm = float(np.max(np.abs(dep_run.final.values - dep_exact.values)))
     checks.append(_check("dephasing_match_max_norm", max_norm, 1e-6,
                          max_norm <= 1e-6))
 
-    # Grid-free exact route for the free particle at kT = 0 (the run's
-    # coefficients are then zero_T_free, with no other term acting).
+    # Grid-free exact route for the free particle at kT = 0, where the
+    # solver's Theta is that of the zero_T_free diffusion coefficient.
     log_vis_exact = dev = None
     if bath.kT == 0 and sysp.frequency == 0:
-        log_vis_exact = free_cat_log_visibility(spec, sysp, bath, coeffs,
-                                                result.times)
+        log_vis_exact = free_cat_log_visibility(
+            spec, sysp, bath, CoefficientSet.zero_T_free(sysp, bath),
+            result.times)
         with np.errstate(divide="ignore"):
             dev = np.abs(np.expm1(np.log(result.visibility) - log_vis_exact))
         resolved = log_vis_exact >= math.log(GRID_EXACT_MIN_VISIBILITY)

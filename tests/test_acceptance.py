@@ -19,8 +19,8 @@ from qbmlab.params import (BathParams, SystemParams, decoherence_time,
 from qbmlab.analysis import CoherenceTrace, fit_power_law, model_select
 from qbmlab.coefficients import (alpha_theory, exponent_nested_reference,
                                  exponent_trace)
-from qbmlab.evolution import (CatStateSpec, CoefficientSet, EvolveConfig,
-                              TermToggles, evolve_full, init_cat_state)
+from qbmlab.evolution import (CatStateSpec, EvolveConfig, TermToggles,
+                              evolve_full, init_cat_state)
 from qbmlab.kernels import kernel_trace
 from qbmlab.scenarios import ScenarioConfig, run_scenario
 
@@ -263,10 +263,8 @@ def test_ac6_conservation_laws(full_run, capsys):
     spec = CatStateSpec(separation=0.0, width=0.5)
     rho0 = init_cat_state(spec, 208, 12.0)
     sys0 = SystemParams(mass=1.0, frequency=0.0, hbar=1.0)
-    coeffs = CoefficientSet.zero_T_free(sys0, COLD)
-    toggles = TermToggles(potential=False, dissipation=False,
-                          diffusion=False, anomalous=False)
-    run = evolve_full(rho0, sys0, COLD, coeffs,
+    toggles = TermToggles(potential=False, diffusion=False)
+    run = evolve_full(rho0, sys0, COLD,
                       EvolveConfig(dt=2e-4, t_end=0.3,
                                    record_every=10 ** 6),
                       terms=toggles)

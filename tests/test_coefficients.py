@@ -329,6 +329,19 @@ def test_diffusion_thermal_split_vs_quadrature():
                 assert val == pytest.approx(ref, rel=1e-9), (w, kT, t)
 
 
+def test_quadrature_resolves_bose_term_at_low_kT_t():
+    # at kT t / hbar = 5e-4 the coth weight bends from 2 kT/hbar to w well
+    # inside the first pi/t-wide panel; without a panel break there the
+    # quadrature route read D 4.5e-7 and Theta 1.4e-7 (relative) low here,
+    # and 6e-6 low at kT = 1e-3, t = 0.5
+    for kT, t in [(0.01, 0.05), (1e-3, 0.5)]:
+        bath = BathParams(gamma=0.05, cutoff=200.0, kT=kT)
+        for route in (diffusion_coefficient, decoherence_exponent):
+            quad = route(SYS_W, bath, t, method="quadrature")
+            split = route(SYS_W, bath, t, method="thermal_split")
+            assert quad == pytest.approx(split, rel=1e-11), (kT, t, route)
+
+
 def test_thermal_split_cost_flat_in_kT(monkeypatch):
     # The Bose term's quadrature runs over y = kT s / hbar in [0, min(Y, 8)]
     # and converges in one pass, so a trace costs about the same at any kT

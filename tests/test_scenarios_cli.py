@@ -107,8 +107,7 @@ def test_full_scenario_warns_when_separation_under_coherence_length(tmp_path):
     # gamma = 25 puts the coherence length at 0.2; separation 0.3 sits
     # inside 3x that, which the dephasing-dominated reading cannot cover
     out = tmp_path / "warn"
-    # dt is left to suggest_timestep: at gamma = 25 the diffusion term
-    # needs dt ~ 3e-5 at the grid corners, well under the kinetic CFL
+    # dt is left to suggest_timestep
     cfg = ScenarioConfig(scenario="full_vs_dephasing",
                          params={"separation": 0.3, "grid_n": 128,
                                  "grid_extent": 6.0,
