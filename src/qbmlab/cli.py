@@ -10,6 +10,7 @@ subcommand instead takes a full scenario config document.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import math
 import sys as _sys
@@ -309,7 +310,10 @@ def _cmd_scenario(args) -> int:
 
 # ---------------------------------------------------------------- parser
 
+@functools.cache
 def _build_parser() -> argparse.ArgumentParser:
+    """The whole parser, built on main's first call and reused after it:
+    building it costs more than a short scenario run."""
     top = argparse.ArgumentParser(
         prog="qbmlab",
         description="Numerical laboratory for low-temperature dephasing of "

@@ -15,8 +15,10 @@ Two evolution paths:
   with the centered second difference and Dirichlet-zero boundaries for
   d^2/dx^2.  Each step is D/2 K D/2, and every substep is exact: the
   potential and diffusion terms act elementwise, and the kinetic term is
-  diagonal in the DST-I basis.  Individual terms can be toggled off
-  (``TermToggles``) to compare limits against closed forms.
+  diagonal in the DST-I basis.  The kinetic flow is applied in the
+  grid's mirror-parity basis, where it splits into two half-size blocks,
+  and no step allocates a full grid.  Individual terms can be toggled
+  off (``TermToggles``) to compare limits against closed forms.
 
 A grid-free exact route covers the free particle at kT = 0 with only the
 kinetic and diffusion terms acting: ``free_cat_log_rho`` and
@@ -365,6 +367,64 @@ def _laplacian_eigenvalues(n: int, dx: float) -> np.ndarray:
     return -4.0 * np.sin(0.5 * np.pi * m / (n + 1)) ** 2 / (dx * dx)
 
 
+def _parity_blocks(s: np.ndarray, e: np.ndarray) -> tuple:
+    """U = S diag(e) S in the mirror-parity basis, for _kinetic_flow.
+
+    The Dirichlet-zero second difference commutes with the grid's mirror
+    x_i <-> x_{n-1-i}, and the DST-I modes 1, 3, ... are even under it and
+    2, 4, ... odd.  With P the unnormalised fold (rows top + J bottom, the
+    middle row when n is odd, top - J bottom; J the row reversal),
+    U = P^T V P with V block-diagonal:
+    V+ = S[:m, 0::2] diag(e[0::2]) S[:m, 0::2]^T, m = n - n//2, and
+    V- = S[:h, 1::2] diag(e[1::2]) S[:h, 1::2]^T, h = n//2, both
+    complex-symmetric.  Returns (V+, V-, conj V+, conj V-)."""
+    n = s.shape[0]
+    h, m = n // 2, n - n // 2
+    even, odd = s[:m, 0::2], s[:h, 1::2]
+    vp = (even * e[0::2]) @ even.T
+    vm = (odd * e[1::2]) @ odd.T
+    return vp, vm, vp.conj(), vm.conj()
+
+
+def _fold(v: np.ndarray, scratch: np.ndarray) -> None:
+    """v <- P v in place (rows top + J bottom, middle, top - J bottom);
+    scratch is an (n//2, n) array."""
+    h = v.shape[0] // 2
+    m = v.shape[0] - h
+    np.copyto(scratch, v[m:][::-1])
+    np.subtract(v[:h], scratch, out=v[m:])
+    np.add(v[:h], scratch, out=v[:h])
+
+
+def _unfold(v: np.ndarray, scratch: np.ndarray) -> None:
+    """v <- P^T v in place, the adjoint of _fold (P P^T = 2 on the paired
+    rows and 1 on the middle one, so this is not its inverse)."""
+    h = v.shape[0] // 2
+    m = v.shape[0] - h
+    np.subtract(v[:h], v[m:], out=scratch)
+    np.add(v[:h], v[m:], out=v[:h])
+    np.copyto(v[m:], scratch[::-1])
+
+
+def _kinetic_flow(rho: np.ndarray, buf: np.ndarray, scratch: np.ndarray,
+                  blocks: tuple) -> None:
+    """rho <- U rho U^H in place, with U given by _parity_blocks.
+
+    U rho U^H = (P^T conj(V) P (U rho)^T)^T, because V^T = V: a fold, the
+    two row blocks' products with V, an unfold and a transpose, then the
+    same with conj(V).  Four half-size products in place of two full
+    ones, and no temporary: buf (n, n) and scratch (n//2, n) are
+    overwritten."""
+    m = rho.shape[0] - rho.shape[0] // 2
+    vp, vm, vp_conj, vm_conj = blocks
+    for even, odd in ((vp, vm), (vp_conj, vm_conj)):
+        _fold(rho, scratch)
+        np.matmul(even, rho[:m], out=buf[:m])
+        np.matmul(odd, rho[m:], out=buf[m:])
+        _unfold(buf, scratch)
+        np.copyto(rho, buf.T)
+
+
 def _sine_weights(s: np.ndarray, extent: tuple[float, float],
                   x: float) -> np.ndarray:
     """Weights w with v(x, x') ~ w(x) . v . w(x'), the DST-I sine-series
@@ -457,8 +517,12 @@ def evolve_full(rho0: DensityGrid, sys: SystemParams, bath: BathParams,
       2M)] S, with S the DST-I matrix and lam the eigenvalues of the
       Dirichlet-zero second difference.  The phase matrix is the outer
       product of e = exp(i hbar h lam / 2M) with its conjugate, so this
-      is U rho U^H with U = S diag(e) S: two complex matrix products.
+      is U rho U^H with U = S diag(e) S.  U commutes with the grid's
+      mirror, so it is applied as P^T V P with P the parity fold and V
+      two complex-symmetric blocks of half size (_parity_blocks): four
+      (n/2, n/2, n) products per step in place of two (n, n, n) ones.
 
+    Every substep and diagnostic works in place in a fixed set of arrays.
     Scalar diagnostics (trace, hermiticity residual, purity, visibility
     read by the sine-series interpolant) are appended every step; full
     grids are kept every ``record_every`` steps plus the initial and final
@@ -501,8 +565,8 @@ def evolve_full(rho0: DensityGrid, sys: SystemParams, bath: BathParams,
         lam = _laplacian_eigenvalues(n, dx)
 
         def propagator(h: float):
-            u = (s * np.exp((0.5j * sys.hbar * h / sys.mass) * lam)) @ s
-            return u, np.ascontiguousarray(u.conj().T)
+            return _parity_blocks(
+                s, np.exp((0.5j * sys.hbar * h / sys.mass) * lam))
 
         kinetic = [propagator(cfg.dt)] * n_steps
         # t_end - (n_steps - 1) dt is off dt by rounding alone when
@@ -511,21 +575,31 @@ def evolve_full(rho0: DensityGrid, sys: SystemParams, bath: BathParams,
         if not math.isclose(h_last, cfg.dt, rel_tol=1e-9):
             kinetic[-1] = propagator(h_last)
 
+    # the step's work arrays; no substep or record allocates a full grid
     rho = rho0.values.copy()
     buf = np.empty_like(rho)
+    work = np.empty((n, n))
+    scratch = np.empty((n // 2, n), dtype=complex) if terms.kinetic else None
 
     def dephase(j: int) -> None:
         if potential is not None:
-            np.multiply(rho, np.exp(neg_q2 * d_theta[j]
-                                    + potential * dt_half[j]), out=rho)
+            np.multiply(potential, dt_half[j], out=buf)
+            np.multiply(neg_q2, d_theta[j], out=work)
+            np.add(work, buf, out=buf)
+            np.exp(buf, out=buf)
+            np.multiply(rho, buf, out=rho)
         elif d_theta[j] != 0.0:
-            np.multiply(rho, np.exp(neg_q2 * d_theta[j]), out=rho)
+            np.multiply(neg_q2, d_theta[j], out=work)
+            np.exp(work, out=work)
+            np.multiply(rho, work, out=rho)
 
     traces, residuals, purities, visibilities = [], [], [], []
 
     def record() -> float:
         traces.append(float(np.sum(rho.diagonal().real) * dx))
-        residuals.append(float(np.max(np.abs(rho - rho.conj().T))))
+        np.conjugate(rho.T, out=buf)
+        np.subtract(rho, buf, out=buf)
+        residuals.append(float(np.abs(buf, out=work).max()))
         purities.append(float(np.vdot(rho, rho).real) * dx * dx)
         visibilities.append(math.nan if cat_spec is None
                             else _probe_visibility(rho, probe))
@@ -541,9 +615,7 @@ def evolve_full(rho0: DensityGrid, sys: SystemParams, bath: BathParams,
     for k in range(1, n_steps + 1):
         dephase(2 * k - 2)
         if terms.kinetic:
-            u, uh = kinetic[k - 1]
-            np.matmul(u, rho, out=buf)
-            np.matmul(buf, uh, out=rho)
+            _kinetic_flow(rho, buf, scratch, kinetic[k - 1])
         dephase(2 * k - 1)
         # the sum of |rho|^2 is finite only if every element is
         if not math.isfinite(record()):

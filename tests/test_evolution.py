@@ -1,5 +1,7 @@
 """Grid evolution: dephasing closed form, the Strang-split solver vs an
 exact Fourier-characteristics solution, conservation laws, snapshot I/O."""
+import tracemalloc
+
 import numpy as np
 import pytest
 import scipy.integrate
@@ -17,6 +19,8 @@ from qbmlab.evolution import (MIN_STEPS, RESOLVED_VISIBILITY,
                               init_cat_state, min_eigenvalue_estimate,
                               purity, read_snapshot, sample_bilinear,
                               suggest_timestep, write_snapshot)
+from qbmlab.evolution import (_dst_matrix, _kinetic_flow,
+                              _laplacian_eigenvalues, _parity_blocks)
 from qbmlab.analysis import fringe_visibility
 
 SYS = SystemParams()
@@ -273,6 +277,74 @@ def test_free_gaussian_spreading():
     sig = spec.width
     expect = sig * sig + (SYS.hbar * t_end / (2.0 * SYS.mass * sig)) ** 2
     assert var == pytest.approx(expect, rel=5e-3)
+
+
+# ------------------------------------------------- parity kinetic flow
+
+def _random_rho(n: int, seed: int) -> np.ndarray:
+    # neither Hermitian nor symmetric under the mirror x_i <-> x_{n-1-i}
+    rng = np.random.default_rng(seed)
+    return rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
+
+
+def _phases(n: int, dx: float, h: float) -> np.ndarray:
+    lam = _laplacian_eigenvalues(n, dx)
+    return np.exp(0.5j * SYS.hbar * h / SYS.mass * lam)
+
+
+def _dense_propagator(n: int, dx: float, h: float) -> np.ndarray:
+    s = _dst_matrix(n)
+    return (s * _phases(n, dx, h)) @ s
+
+
+def _flow_buffers(n: int):
+    return (np.empty((n, n), dtype=complex),
+            np.empty((n // 2, n), dtype=complex))
+
+
+@pytest.mark.parametrize("n", [64, 65, 160, 161])
+def test_parity_flow_matches_dense_propagator(n):
+    dx, h = 8.0 / (n - 1), 3e-3
+    u = _dense_propagator(n, dx, h)
+    rho = _random_rho(n, n)
+    ref = u @ rho @ u.conj().T
+    blocks = _parity_blocks(_dst_matrix(n), _phases(n, dx, h))
+    _kinetic_flow(rho, *_flow_buffers(n), blocks)
+    assert np.abs(rho - ref).max() <= 1e-13 * np.abs(ref).max()
+
+
+@pytest.mark.parametrize("n", [64, 65, 160, 161])
+def test_kinetic_run_matches_dense_propagator(n):
+    # off-centre grid, and a last step half as long as the others
+    values = _random_rho(n, 1000 + n)
+    rho0 = DensityGrid(n=n, extent=(1.3 - 4.0, 1.3 + 4.0), values=values,
+                       time=0.0)
+    dt = 2e-3
+    cfg = EvolveConfig(dt=dt, t_end=2.5 * dt, record_every=10 ** 6)
+    run = evolve_full(rho0, SYS, BATH, cfg,
+                      terms=TermToggles(potential=False, diffusion=False))
+    assert len(run.times) == 4
+    u, u_last = (_dense_propagator(n, rho0.dx, h) for h in (dt, 0.5 * dt))
+    ref = values
+    for step in (u, u, u_last):
+        ref = step @ ref @ step.conj().T
+    assert np.abs(run.final.values - ref).max() <= 1e-13 * np.abs(ref).max()
+
+
+def test_kinetic_flow_allocates_no_full_grid():
+    # the fold, the four half-size products, the unfold and the transposes
+    # all work in the caller's arrays
+    n = 512
+    blocks = _parity_blocks(_dst_matrix(n), _phases(n, 12.0 / (n - 1), 1e-3))
+    rho = _random_rho(n, 7)
+    buf, scratch = _flow_buffers(n)
+    tracemalloc.start()
+    try:
+        _kinetic_flow(rho, buf, scratch, blocks)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < rho.nbytes / 4
 
 
 def test_full_solver_probe_matches_exact_route(oracle_run):

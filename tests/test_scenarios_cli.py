@@ -136,6 +136,20 @@ def test_cli_alpha_writes_prediction(tmp_path, capsys):
     assert capsys.readouterr().out == ""
 
 
+def test_cli_reused_parser_parses_each_call_afresh(tmp_path):
+    # the parser is built once; no call's arguments leak into the next
+    a, b = tmp_path / "a", tmp_path / "b"
+    assert cli.main(["alpha", "--out", str(a), "--quiet", "--gamma", "0.1",
+                     "--separation", "3"]) == 0
+    assert cli.main(["alpha", "--out", str(b), "--quiet"]) == 0
+    doc_a = json.loads((a / "alpha.json").read_text())
+    doc_b = json.loads((b / "alpha.json").read_text())
+    assert doc_a["alpha"] == pytest.approx(
+        alpha_theory(SYS, BathParams(gamma=0.1, cutoff=200.0), 3.0))
+    assert doc_b["alpha"] == pytest.approx(alpha_theory(SYS, BATH, 2.0))
+    assert cli._build_parser() is cli._build_parser()
+
+
 def test_cli_kernel_csv_and_oracle_sidecar(tmp_path):
     out = tmp_path / "k"
     assert cli.main(["kernel", "--out", str(out), "--quiet",
