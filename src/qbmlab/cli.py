@@ -156,9 +156,8 @@ def _cmd_coeffs(args) -> int:
     t_grid = space(args.t_min, args.t_max, args.n)
     trace = coefficients.exponent_trace(sysp, bath, t_grid,
                                         method=args.method)
-    diff = [coefficients.diffusion_coefficient(sysp, bath, float(t),
-                                               method=trace.method)
-            for t in t_grid]
+    diff = coefficients.diffusion_coefficient(sysp, bath, t_grid,
+                                              method=trace.method)
 
     out = Path(args.out)
     _write_csv(out / "coeffs.csv", "t,D,theta,method",

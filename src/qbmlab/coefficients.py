@@ -36,9 +36,10 @@ occupation factor coth(hbar w / 2 kT) and sinc(u) = sin(u)/u.  The
   cutoff, so the cutoff is dropped from it and its Matsubara sum over
   k hbar / kT is done in closed form: at W = 0 it is
   p ln(sinh(pi kT t/hbar) / (pi kT t/hbar)) in Theta.  A W > 0 adds Si
-  and Cin terms and one quadrature over a fixed range, so the cost does
-  not grow with kT or t (_bose_part).  Above that kT the Bose term is
-  integrated over frequency up to Lambda.
+  and Cin terms and one quadrature over a fixed range per sample, all
+  samples of a time grid in one batched call, so the cost does not grow
+  with kT or t (_bose_part).  Above that kT the Bose term is integrated
+  over frequency up to Lambda.
 * ``quadrature`` (any kT): the full frequency integral with the coth
   weight.  It shares no closed form with the other routes and is their
   independent cross-check.
@@ -162,7 +163,7 @@ def cosine_integral(x):
 
 def _match_scalar(t, out):
     """out as a float when the times t were a scalar."""
-    if np.isscalar(t) or getattr(t, "ndim", 0) == 0:
+    if np.ndim(t) == 0:
         return float(out)
     return out
 
@@ -217,16 +218,16 @@ _COTH_SERIES = tuple((2 * k + 2) / math.factorial(2 * k + 3)
 _MATSUBARA_TAIL = 8.0
 
 
-def _horner(coefs, u: float) -> float:
+def _horner(coefs, u):
     total = 0.0
     for c in reversed(coefs):
         total = total * u + c
     return total
 
 
-def _matsubara_free(order: int, x: float) -> float:
-    """The Bose part at W = 0 in units of p (kT/hbar)^(1 - order), at
-    x = pi kT t / hbar > 0: pi (coth x - 1/x) for D (order 0) and
+def _matsubara_free(order: int, x):
+    """The Bose part at W = 0 in units of p (kT/hbar)^(1 - order), at the
+    1-D x = pi kT t / hbar > 0: pi (coth x - 1/x) for D (order 0) and
     ln(sinh x / x) for Theta (order 1).
 
     These are int_0^Y (Y - y)^order h(y) dy, Y = x / pi, of the Matsubara
@@ -235,18 +236,25 @@ def _matsubara_free(order: int, x: float) -> float:
     int 2 w e^(-k hbar w / kT) cos(w s) dw.  Below x = 1 they cancel and
     come from the series r and c - r.
     """
-    if x < 1.0:
-        xr = x * x * _horner(_SINH_SERIES, x * x)
-        if order == 0:
-            return np.pi * x * _horner(_COTH_SERIES, x * x) / (1.0 + xr)
-        return math.log1p(xr)
+    out = np.empty_like(x)
+    lo = x < 1.0
+    xs, xl = x[lo], x[~lo]
+    xr = xs * xs * _horner(_SINH_SERIES, xs * xs)
     if order == 0:
-        return np.pi * (1.0 / math.tanh(x) - 1.0 / x)
-    return x - math.log(2.0 * x) + math.log1p(-math.exp(-2.0 * x))
+        out[lo] = np.pi * xs * _horner(_COTH_SERIES, xs * xs) / (1.0 + xr)
+        out[~lo] = np.pi * (1.0 / np.tanh(xl) - 1.0 / xl)
+    else:
+        out[lo] = np.log1p(xr)
+        out[~lo] = xl - np.log(2.0 * xl) + np.log1p(-np.exp(-2.0 * xl))
+    return out
 
 
 def _sinc(u):
-    return np.sinc(u / np.pi)
+    """sin(u)/u elementwise, exactly 1 at u = 0."""
+    with np.errstate(invalid="ignore"):
+        out = np.sin(u) / u
+    out[u == 0] = 1.0
+    return out
 
 
 def _diffusion_kernel(omega0: float, t: float):
@@ -285,10 +293,9 @@ def _frequency_integral(kernel, weight, upper: float, sys: SystemParams,
 
 
 def _bose_part(kernel, order: int, sys: SystemParams, bath: BathParams,
-               t: float, closed: float, abs_tol: float,
-               rel_tol: float) -> float:
-    """The thermal_split correction to the closed form ``closed`` at scalar
-    t, to the tolerance of the sum; 0 at kT = 0 or t = 0.
+               t, closed, abs_tol: float, rel_tol: float):
+    """The thermal_split correction to the closed forms ``closed`` at the
+    1-D times t > 0, each to the tolerance of its sum; 0 at kT = 0.
 
     The Bose term p int 2 w n_B(w) kernel(w) dw, with ``order`` 0 for D
     and 1 for Theta.  While 40 kT / hbar < Lambda the cutoff changes it by
@@ -301,16 +308,19 @@ def _bose_part(kernel, order: int, sys: SystemParams, bath: BathParams,
     cos(q y) - 1 = -2 sin^2(q y / 2) against the 1/y^2 head of h gives
     Si and Cin, and against the exponential rest pi^2/sinh^2(pi y) goes to
     quadrature over [0, min(Y, 8)].  So the cost does not grow with kT or
-    t.  Above that kT, the frequency integral up to Lambda.
+    t, and the whole grid is one pass: the head on arrays and one batched
+    quadrature whose intervals keep their own tolerances.  Above that kT,
+    the frequency integral up to Lambda, one sample at a time.
     """
-    if bath.kT == 0 or t == 0:
-        return 0.0
+    if bath.kT == 0:
+        return np.zeros_like(t)
     kappa = bath.kT / sys.hbar
     if _BOSE_CUT * kappa >= bath.cutoff:
-        return _frequency_integral(kernel, _bose_weight(sys, bath),
-                                   bath.cutoff, sys, bath, t,
-                                   max(abs_tol, rel_tol * abs(closed)),
-                                   rel_tol)
+        weight = _bose_weight(sys, bath)
+        return np.array([
+            _frequency_integral(kernel, weight, bath.cutoff, sys, bath, ti,
+                                max(abs_tol, rel_tol * abs(ci)), rel_tol)
+            for ti, ci in zip(t, closed)])
     pref = 2.0 * sys.mass * bath.gamma / np.pi * kappa ** (1 - order)
     span = kappa * t
     value = _matsubara_free(order, np.pi * span)
@@ -318,57 +328,68 @@ def _bose_part(kernel, order: int, sys: SystemParams, bath: BathParams,
     if q == 0:
         return pref * value
     # int_0^Y (Y - y)^order (1 - cos(q y)) / y^2 dy
-    si, cin = _si_cin(np.array([q * span]))
-    head = q * si[0] - 2.0 * math.sin(0.5 * q * span) ** 2 / span
+    si, cin = _si_cin(q * span)
+    head = q * si - 2.0 * np.sin(0.5 * q * span) ** 2 / span
     if order == 1:
-        head = span * head - cin[0]
+        head = span * head - cin
     value = pref * (value - head)
 
-    def rest(y):
+    def rest(y, which):
         # 2 sin^2(q y/2) pi^2/sinh^2(x), x = pi y, with
         # 1/sinh^2(x) = 4 e^-2x / expm1(-2x)^2, finite for every x > 0
         e = np.expm1(-2.0 * np.pi * y)
-        return (2.0 * pref * np.pi ** 2) * (span - y) ** order \
+        return (2.0 * pref * np.pi ** 2) * (span[which] - y) ** order \
             * np.sin(0.5 * q * y) ** 2 * 4.0 * (e + 1.0) / (e * e)
 
-    tail, _ = quadrature.integrate(
-        rest, 0.0, min(span, _MATSUBARA_TAIL),
+    tail, _ = quadrature.integrate_batch(
+        rest, np.zeros_like(span), np.minimum(span, _MATSUBARA_TAIL),
         max_width=min(1.0, np.pi / q),
-        abs_tol=max(abs_tol, rel_tol * abs(closed + value)), rel_tol=rel_tol)
+        abs_tol=np.maximum(abs_tol, rel_tol * np.abs(closed + value)),
+        rel_tol=rel_tol)
     return value + tail
 
 
 def _coefficient(closed, kernel, order: int, sys: SystemParams,
-                 bath: BathParams, t: float, method: str, abs_tol: float,
-                 rel_tol: float) -> float:
-    """D (order 0) or Theta (order 1) at scalar t by the chosen route
-    (module docstring), from its kT = 0 closed form and its
-    frequency-space kernel."""
-    if t < 0:
+                 bath: BathParams, t, method: str, abs_tol: float,
+                 rel_tol: float):
+    """D (order 0) or Theta (order 1) at scalar or 1-D t by the chosen
+    route (module docstring), from its kT = 0 closed form and its
+    frequency-space kernel; a float for a scalar t."""
+    t_arr = np.asarray(t, dtype=float)
+    if t_arr.ndim > 1:
+        raise ValueError("t must be a scalar or a 1-D array")
+    if (t_arr < 0).any():
         raise ValueError(f"t must be >= 0, got {t}")
     method = _route(bath, method)
-    if t == 0:
-        return 0.0
+    t_arr = t_arr.reshape(-1)
+    live = t_arr > 0
     if method == "quadrature":
         # The coth weight bends from 2 kT/hbar to w over a few kT/hbar, far
         # inside a first panel of width pi/t at small kT t, where the
         # adaptive rule converges without seeing the bend.  A break at
         # _BOSE_CUT kT/hbar, past which the weight is w to e^-40, gives
         # the bend panels of its own scale.
-        return _frequency_integral(kernel, _thermal_weight(sys, bath),
-                                   bath.cutoff, sys, bath, t, abs_tol,
-                                   rel_tol,
-                                   points=(_BOSE_CUT * bath.kT / sys.hbar,))
-    value = closed(sys, bath, t)
-    return value + _bose_part(kernel, order, sys, bath, t, value, abs_tol,
-                              rel_tol)
+        weight = _thermal_weight(sys, bath)
+        out = np.zeros_like(t_arr)
+        out[live] = [_frequency_integral(kernel, weight, bath.cutoff, sys,
+                                         bath, ti, abs_tol, rel_tol,
+                                         points=(_BOSE_CUT * bath.kT
+                                                 / sys.hbar,))
+                     for ti in t_arr[live]]
+    else:
+        out = closed(sys, bath, t_arr)      # 0 at t = 0
+        if bath.kT > 0:
+            out[live] += _bose_part(kernel, order, sys, bath, t_arr[live],
+                                    out[live], abs_tol, rel_tol)
+    return _match_scalar(t, out.reshape(np.shape(t)))
 
 
-def diffusion_coefficient(sys: SystemParams, bath: BathParams, t: float, *,
+def diffusion_coefficient(sys: SystemParams, bath: BathParams, t, *,
                           method: str = "auto",
                           abs_tol: float = quadrature.ABS_TOL,
-                          rel_tol: float = quadrature.REL_TOL) -> float:
+                          rel_tol: float = quadrature.REL_TOL):
     """D(t), the running cosine transform of the noise kernel; D(0) = 0.
+    Scalar or 1-D t >= 0; a float for a scalar t.
 
     method: auto (closed_zero_T at kT = 0, thermal_split above) or one of
     METHODS (module docstring); quadrature forces the full frequency
@@ -483,11 +504,12 @@ def diffusion_moments_zero_T_free(sys: SystemParams, bath: BathParams, t):
     return pref * np.array([np.ones_like(t), t, t * t]) * brackets
 
 
-def decoherence_exponent(sys: SystemParams, bath: BathParams, t: float, *,
+def decoherence_exponent(sys: SystemParams, bath: BathParams, t, *,
                          method: str = "auto",
                          abs_tol: float = quadrature.ABS_TOL,
-                         rel_tol: float = quadrature.REL_TOL) -> float:
-    """Theta(t) = int_0^t D dt' at scalar t >= 0.
+                         rel_tol: float = quadrature.REL_TOL):
+    """Theta(t) = int_0^t D dt' at scalar or 1-D t >= 0; a float for a
+    scalar t.
 
     method: auto (closed_zero_T at kT = 0, thermal_split above) or one of
     METHODS (module docstring); quadrature forces the full frequency
@@ -560,22 +582,13 @@ class ExponentTrace:
 
 def exponent_trace(sys: SystemParams, bath: BathParams, t_grid,
                    method: str = "auto") -> ExponentTrace:
-    """Theta(t) on a grid, with decoherence_exponent's routes: the closed
-    form over the whole grid at once, plus the Bose term per sample for
-    thermal_split; quadrature per sample."""
+    """Theta(t) on a grid by one decoherence_exponent call: for
+    thermal_split the closed form and the Bose term over the whole grid at
+    once, for quadrature one frequency integral per sample."""
     t_grid = np.asarray(t_grid, dtype=float)
-    method = _route(bath, method)
-    if method == "quadrature":
-        theta = np.array([decoherence_exponent(sys, bath, t, method=method)
-                          for t in t_grid])
-    else:
-        theta = exponent_closed_zero_T(sys, bath, t_grid)
-        if bath.kT > 0:
-            theta = theta + np.array([
-                _bose_part(_exponent_kernel, 1, sys, bath, t, closed,
-                           quadrature.ABS_TOL, quadrature.REL_TOL)
-                for t, closed in zip(t_grid, theta)])
-    return ExponentTrace(t_grid=t_grid, theta=theta, method=method)
+    theta = decoherence_exponent(sys, bath, t_grid, method=method)
+    return ExponentTrace(t_grid=t_grid, theta=theta,
+                         method=_route(bath, method))
 
 
 def alpha_theory(sys: SystemParams, bath: BathParams, dx: float) -> float:

@@ -98,6 +98,57 @@ def test_diffusion_negative_time_rejected():
         diffusion_coefficient(SYS, BATH0, -0.1)
 
 
+def test_array_times_negative_rejected():
+    for route in (diffusion_coefficient, decoherence_exponent):
+        with pytest.raises(ValueError):
+            route(SYS_W, BATH0, np.array([0.5, -0.1, 1.0]))
+        with pytest.raises(ValueError):
+            route(SYS_W, BathParams(gamma=0.05, cutoff=200.0, kT=0.3),
+                  np.array([0.5, -0.1, 1.0]))
+
+
+def test_array_times_equal_scalar_calls():
+    # one call on an array of times against one call per time, by every
+    # route, at kT = 0 and kT > 0 (below and above the Bose cut
+    # 40 kT / hbar = Lambda), at W = 0 and W > 0; t = 0 included
+    t_grid = np.array([0.0, 0.004, 0.3, 2.0, 45.0])
+    for w in (0.0, 0.7):
+        sysp = SystemParams(frequency=w)
+        for bath in (BATH0, BathParams(gamma=0.05, cutoff=200.0, kT=0.3),
+                     BathParams(gamma=0.05, cutoff=20.0, kT=1.0)):
+            for method in ("auto", "thermal_split", "quadrature"):
+                for route in (diffusion_coefficient, decoherence_exponent):
+                    got = route(sysp, bath, t_grid, method=method)
+                    assert isinstance(got, np.ndarray)
+                    assert got.shape == t_grid.shape
+                    for t, g in zip(t_grid, got):
+                        one = route(sysp, bath, float(t), method=method)
+                        assert isinstance(one, float)
+                        assert g == pytest.approx(one, rel=1e-15, abs=0.0), (
+                            w, bath.kT, method, route.__name__, t)
+
+
+def test_thermal_split_batched_matches_per_sample():
+    # The Bose term over a whole 64-point grid in one batched quadrature
+    # against one call per sample (each a one-interval quadrature)
+    grids = (np.linspace(0.025, 187.5, 64), np.geomspace(1e-3, 2e3, 64))
+    for w in (1e-4, 0.7, 5.0):
+        sysp = SystemParams(frequency=w)
+        for kT in (0.1, 0.3, 1.0, 4.0):
+            bath = BathParams(gamma=0.05, cutoff=200.0, kT=kT)
+            for t_grid in grids:
+                theta = exponent_trace(sysp, bath, t_grid).theta
+                d = diffusion_coefficient(sysp, bath, t_grid,
+                                          method="thermal_split")
+                theta_one = [decoherence_exponent(sysp, bath, t)
+                             for t in t_grid]
+                d_one = [diffusion_coefficient(sysp, bath, t)
+                         for t in t_grid]
+                np.testing.assert_allclose(theta, theta_one, rtol=1e-14,
+                                           atol=0.0)
+                np.testing.assert_allclose(d, d_one, rtol=1e-14, atol=0.0)
+
+
 def test_diffusion_zero_T_free_unit_time():
     # (2 * 0.05 / pi) * (1 - cos 200) at t = 1
     expect = (0.1 / np.pi) * (1.0 - np.cos(200.0))
@@ -297,8 +348,11 @@ def test_matsubara_free_vs_quadpack():
     # The Bose term at W = 0 in closed form, on both sides of its series
     # split at x = pi kT t / hbar = 1: pi (coth x - 1/x) for D against
     # 2 int n_B sin(w t) dw / (kT / hbar), ln(sinh x / x) for Theta against
-    # 2 int n_B (1 - cos w t) / w dw, at kT = hbar = 1.
-    for x in [1e-3, 0.5, 0.999, 1.001, 3.0, 50.0]:
+    # 2 int n_B (1 - cos w t) / w dw, at kT = hbar = 1.  One call per
+    # order covers both branches.
+    xs = np.array([1e-3, 0.5, 0.999, 1.001, 3.0, 50.0])
+    d_val, th_val = _matsubara_free(0, xs), _matsubara_free(1, xs)
+    for x, d, th in zip(xs, d_val, th_val):
         t = x / np.pi
 
         def n_b(w):
@@ -310,8 +364,8 @@ def test_matsubara_free_vs_quadpack():
         th_ref = 2.0 * scipy.integrate.quad(
             lambda w: n_b(w) * 2.0 * np.sin(0.5 * w * t) ** 2 / w, 0.0,
             40.0, limit=400, epsabs=0.0, epsrel=1e-13)[0]
-        assert _matsubara_free(0, x) == pytest.approx(d_ref, rel=1e-11), x
-        assert _matsubara_free(1, x) == pytest.approx(th_ref, rel=1e-11), x
+        assert d == pytest.approx(d_ref, rel=1e-11), x
+        assert th == pytest.approx(th_ref, rel=1e-11), x
 
 
 def test_diffusion_thermal_split_vs_quadrature():
@@ -346,23 +400,29 @@ def test_thermal_split_cost_flat_in_kT(monkeypatch):
     # The Bose term's quadrature runs over y = kT s / hbar in [0, min(Y, 8)]
     # and converges in one pass, so a trace costs about the same at any kT
     # (a frequency cut at 40 kT / hbar made it grow tenfold over this range).
+    # The whole trace is one batched quadrature, whose integrand sees every
+    # point.
     points = {}
     calls = []
-    inner = quadrature.integrate
+    batches = []
+    inner = quadrature.integrate_batch
 
     def counted(f, a, b, **kw):
-        def g(x):
+        def g(x, which):
             calls.append(x.size)
-            return f(x)
+            return f(x, which)
+        batches.append(len(a))
         return inner(g, a, b, **kw)
 
-    monkeypatch.setattr(quadrature, "integrate", counted)
+    monkeypatch.setattr(quadrature, "integrate_batch", counted)
     t_grid = np.linspace(0.025, 187.5, 64)
     for kT in (0.1, 1.0):
         calls.clear()
+        batches.clear()
         exponent_trace(SYS_W, BathParams(gamma=0.02, cutoff=200.0, kT=kT),
                        t_grid)
         points[kT] = sum(calls)
+        assert batches == [len(t_grid)], kT
     assert 0 < points[1.0] <= 1.5 * points[0.1]
     assert points[1.0] <= len(t_grid) * 8 * 2 * (16 + 8)
 
