@@ -16,9 +16,11 @@ Two evolution paths:
   d^2/dx^2.  Each step is D/2 K D/2, and every substep is exact: the
   potential and diffusion terms act elementwise, and the kinetic term is
   diagonal in the DST-I basis.  The kinetic flow is applied in the
-  grid's mirror-parity basis, where it splits into two half-size blocks,
-  and no step allocates a full grid.  Individual terms can be toggled
-  off (``TermToggles``) to compare limits against closed forms.
+  grid's mirror-parity basis, where it splits into two half-size blocks;
+  for a mirror-symmetric state, such as a cat centred on its grid, the
+  state's cross-parity blocks vanish too and half the products are
+  skipped.  No step allocates a full grid.  Individual terms can be
+  toggled off (``TermToggles``) to compare limits against closed forms.
 
 A grid-free exact route covers the free particle at kT = 0 with only the
 kinetic and diffusion terms acting: ``free_cat_log_rho`` and
@@ -151,6 +153,7 @@ class EvolutionResult:
     visibility: np.ndarray      # NaN when no CatStateSpec was supplied
     snapshots: list
     snapshot_steps: list
+    mirror_steps: int = 0       # kinetic substeps on the mirror half path
 
     @property
     def final(self) -> DensityGrid:
@@ -172,15 +175,18 @@ def init_cat_state(spec: CatStateSpec, n: int, extent: float) -> DensityGrid:
         raise ValueError(
             f"packet width under-resolved: width/dx = {spec.width / dx:.3g} "
             f"< {MIN_POINTS_PER_WIDTH:g} points per width")
-    x = np.linspace(spec.grid_center - length / 2.0,
-                    spec.grid_center + length / 2.0, n)
+    # offsets from the centre, exactly antisymmetric: u_{n-1-i} = -u_i, so
+    # psi, and with it rho, is mirror-symmetric bit for bit
+    u = (np.arange(n) - 0.5 * (n - 1)) * dx
     half = 0.5 * spec.separation
-    g = (np.exp(-((x - spec.grid_center - half) ** 2) / (4.0 * spec.width ** 2))
-         + np.exp(-((x - spec.grid_center + half) ** 2) / (4.0 * spec.width ** 2)))
+    g = (np.exp(-((u - half) ** 2) / (4.0 * spec.width ** 2))
+         + np.exp(-((u + half) ** 2) / (4.0 * spec.width ** 2)))
     norm = math.sqrt(float(np.sum(g * g)) * dx)
     psi = g / norm
     values = np.outer(psi, psi).astype(complex)
-    return DensityGrid(n=n, extent=(x[0], x[-1]), values=values, time=0.0)
+    return DensityGrid(n=n, extent=(spec.grid_center - length / 2.0,
+                                    spec.grid_center + length / 2.0),
+                       values=values, time=0.0)
 
 
 def dephasing_factor(sys: SystemParams, bath: BathParams, dx: float,
@@ -208,8 +214,10 @@ def evolve_dephasing(rho0: DensityGrid, sys: SystemParams, bath: BathParams,
     if t0 > 0:
         theta -= decoherence_exponent(sys, bath, t0)
     x = rho0.axis()
-    q = x[:, None] - x[None, :]
-    factor = np.exp(-(q * q) * (theta / sys.hbar))
+    factor = np.subtract.outer(x, x)     # q = x - x', squared in place
+    np.multiply(factor, factor, out=factor)
+    np.multiply(factor, -theta / sys.hbar, out=factor)
+    np.exp(factor, out=factor)
     return DensityGrid(n=rho0.n, extent=rho0.extent,
                        values=rho0.values * factor, time=t0 + t)
 
@@ -355,9 +363,20 @@ def _dst_matrix(n: int) -> np.ndarray:
     It is symmetric and orthogonal (S S = 1), and it diagonalises the
     Dirichlet-zero second difference (_laplacian_eigenvalues)."""
     m = np.arange(1, n + 1)
-    # m k is reduced mod 2(n+1) first, so that sin sees arguments < 2 pi
-    return math.sqrt(2.0 / (n + 1)) * np.sin(
-        np.pi / (n + 1) * (np.outer(m, m) % (2 * (n + 1))))
+    # m k is reduced mod 2(n+1), so every entry is one of 2(n+1) sines
+    table = math.sqrt(2.0 / (n + 1)) * np.sin(
+        np.pi / (n + 1) * np.arange(2 * (n + 1)))
+    index = np.outer(m, m)
+    np.remainder(index, 2 * (n + 1), out=index)
+    return table[index]
+
+
+def _toeplitz(line: np.ndarray) -> np.ndarray:
+    """The (n, n) read-only view T[i, j] = line[n - 1 + j - i] of a
+    (2n - 1)-line; for a line symmetric about its middle, T[i, j] is the
+    line's value at i - j as well."""
+    n = (line.shape[0] + 1) // 2
+    return np.lib.stride_tricks.sliding_window_view(line, n)[::-1]
 
 
 def _laplacian_eigenvalues(n: int, dx: float) -> np.ndarray:
@@ -407,15 +426,20 @@ def _unfold(v: np.ndarray, scratch: np.ndarray) -> None:
 
 
 def _kinetic_flow(rho: np.ndarray, buf: np.ndarray, scratch: np.ndarray,
-                  blocks: tuple) -> None:
-    """rho <- U rho U^H in place, with U given by _parity_blocks.
+                  blocks: tuple) -> bool:
+    """rho <- U rho U^H in place, with U given by _parity_blocks; returns
+    whether the mirror-symmetric half path (_mirror_flow) was taken.
 
-    U rho U^H = (P^T conj(V) P (U rho)^T)^T, because V^T = V: a fold, the
-    two row blocks' products with V, an unfold and a transpose, then the
-    same with conj(V).  Four half-size products in place of two full
-    ones, and no temporary: buf (n, n) and scratch (n//2, n) are
-    overwritten."""
+    That path is taken only when rho equals J rho J exactly (J the grid's
+    mirror).  Otherwise U rho U^H = (P^T conj(V) P (U rho)^T)^T, because
+    V^T = V: a fold, the two row blocks' products with V, an unfold and a
+    transpose, then the same with conj(V).  Four half-size products in
+    place of two full ones, and no temporary: buf (n, n) and scratch
+    (n//2, n) are overwritten."""
     m = rho.shape[0] - rho.shape[0] // 2
+    if np.array_equal(rho[:m], rho[::-1, ::-1][:m]):
+        _mirror_flow(rho, buf, scratch, blocks)
+        return True
     vp, vm, vp_conj, vm_conj = blocks
     for even, odd in ((vp, vm), (vp_conj, vm_conj)):
         _fold(rho, scratch)
@@ -423,6 +447,32 @@ def _kinetic_flow(rho: np.ndarray, buf: np.ndarray, scratch: np.ndarray,
         np.matmul(odd, rho[m:], out=buf[m:])
         _unfold(buf, scratch)
         np.copyto(rho, buf.T)
+    return False
+
+
+def _mirror_flow(rho: np.ndarray, buf: np.ndarray, scratch: np.ndarray,
+                 blocks: tuple) -> None:
+    """rho <- U rho U^H in place for a mirror-symmetric rho = J rho J.
+
+    U rho U^H = P^T V R conj(V) P with R = P rho P^T.  The mirror flips
+    the sign of R's odd rows and columns, so R's cross-parity blocks
+    vanish, exactly so for an exactly symmetric rho, and so do those of
+    X = V R conj(V): X+ = V+ R++ conj(V+), X- = V- R-- conj(V-), four
+    (n/2)^3 products.  Built as transposes, since V^T = V: R^T = P (P
+    rho)^T, X^T = conj(V) R^T V, then P^T X P = P^T (P^T X^T)^T.  The
+    result is again exactly mirror-symmetric."""
+    m = rho.shape[0] - rho.shape[0] // 2
+    vp, vm, vp_conj, vm_conj = blocks
+    _fold(rho, scratch)
+    np.copyto(buf, rho.T)
+    _fold(buf, scratch)
+    np.matmul(vp_conj, buf[:m, :m], out=rho[:m, :m])
+    np.matmul(rho[:m, :m], vp, out=buf[:m, :m])
+    np.matmul(vm_conj, buf[m:, m:], out=rho[m:, m:])
+    np.matmul(rho[m:, m:], vm, out=buf[m:, m:])
+    _unfold(buf, scratch)
+    np.copyto(rho, buf.T)
+    _unfold(rho, scratch)
 
 
 def _sine_weights(s: np.ndarray, extent: tuple[float, float],
@@ -501,7 +551,8 @@ def suggest_timestep(sys: SystemParams, bath: BathParams, separation: float,
 
 def evolve_full(rho0: DensityGrid, sys: SystemParams, bath: BathParams,
                 cfg: EvolveConfig, *, terms: TermToggles | None = None,
-                cat_spec: CatStateSpec | None = None) -> EvolutionResult:
+                cat_spec: CatStateSpec | None = None,
+                diagnostics: bool = True) -> EvolutionResult:
     """Strang-split run from rho0.time to rho0.time + t_end.
 
     Each step of length h is D(h/2) K(h) D(h/2), and each substep is the
@@ -512,7 +563,9 @@ def evolve_full(rho0: DensityGrid, sys: SystemParams, bath: BathParams,
       exp(-(x - x')^2 [Theta(t_b) - Theta(t_a)] / hbar
           - i (M Omega^2 / 2 hbar)(x^2 - x'^2)(t_b - t_a)),
       the diffusion and potential terms.  Theta at every half-step time
-      comes from one exponent_trace call; D(t) is never sampled.
+      comes from one exponent_trace call; D(t) is never sampled.  The
+      diffusion factor depends on i - j alone: with the potential off it
+      is 2n - 1 exponentials read through a Toeplitz view.
     * K is the kinetic flow, S [(S rho S) * exp(i hbar h (lam_i - lam_j) /
       2M)] S, with S the DST-I matrix and lam the eigenvalues of the
       Dirichlet-zero second difference.  The phase matrix is the outer
@@ -521,13 +574,19 @@ def evolve_full(rho0: DensityGrid, sys: SystemParams, bath: BathParams,
       mirror, so it is applied as P^T V P with P the parity fold and V
       two complex-symmetric blocks of half size (_parity_blocks): four
       (n/2, n/2, n) products per step in place of two (n, n, n) ones.
+      When rho is exactly mirror-symmetric, as a cat centred on its grid
+      stays with the potential off, the cross-parity blocks of P rho P^T
+      vanish and four (n/2)^3 products do (_mirror_flow); the result's
+      ``mirror_steps`` counts those steps.
 
     Every substep and diagnostic works in place in a fixed set of arrays.
     Scalar diagnostics (trace, hermiticity residual, purity, visibility
-    read by the sine-series interpolant) are appended every step; full
-    grids are kept every ``record_every`` steps plus the initial and final
-    states.  Raises RuntimeError when Theta is not finite, or when the
-    state turns non-finite (with the step index).
+    read by the sine-series interpolant) are appended every step; with
+    ``diagnostics=False`` only the purity is, which the finiteness guard
+    computes anyway, and the trace, residual and visibility entries are
+    NaN.  Full grids are kept every ``record_every`` steps plus the
+    initial and final states.  Raises RuntimeError when Theta is not
+    finite, or when the state turns non-finite (with the step index).
     """
     if terms is None:
         terms = TermToggles()
@@ -542,7 +601,6 @@ def evolve_full(rho0: DensityGrid, sys: SystemParams, bath: BathParams,
     t_half[1::2] = 0.5 * (times[:-1] + times[1:])
     dt_half = np.diff(t_half)
 
-    x = rho0.axis()
     d_theta = np.zeros_like(dt_half)
     if terms.diffusion:
         try:
@@ -552,9 +610,14 @@ def evolve_full(rho0: DensityGrid, sys: SystemParams, bath: BathParams,
                 f"Theta(t) is not finite on [{t_half[0]:.6g}, "
                 f"{t_half[-1]:.6g}]: {exc}") from exc
         d_theta = np.diff(theta)
-    neg_q2 = -np.subtract.outer(x, x) ** 2 / sys.hbar
+    # -(x_i - x_j)^2 / hbar depends on i - j alone: a (2n - 1)-line, read
+    # as an (n, n) Toeplitz view, exactly symmetric in i - j
+    neg_q2_line = -(np.arange(1 - n, n) * dx) ** 2 / sys.hbar
+    factor_line = np.empty_like(neg_q2_line)
+    neg_q2, factor = _toeplitz(neg_q2_line), _toeplitz(factor_line)
     potential = None
     if terms.potential and sys.frequency != 0.0:
+        x = rho0.axis()
         potential = (-0.5j * sys.mass * sys.frequency ** 2 / sys.hbar) \
             * np.subtract.outer(x * x, x * x)
 
@@ -589,18 +652,28 @@ def evolve_full(rho0: DensityGrid, sys: SystemParams, bath: BathParams,
             np.exp(buf, out=buf)
             np.multiply(rho, buf, out=rho)
         elif d_theta[j] != 0.0:
-            np.multiply(neg_q2, d_theta[j], out=work)
-            np.exp(work, out=work)
-            np.multiply(rho, work, out=rho)
+            np.multiply(neg_q2_line, d_theta[j], out=factor_line)
+            np.exp(factor_line, out=factor_line)
+            # a ufunc would buffer the strided real view; a contiguous
+            # complex copy multiplies to the same bits without that
+            np.copyto(buf, factor)
+            np.multiply(rho, buf, out=rho)
 
     traces, residuals, purities, visibilities = [], [], [], []
 
     def record() -> float:
+        purities.append(float(np.vdot(rho, rho).real) * dx * dx)
+        if not diagnostics:
+            traces.append(math.nan)
+            residuals.append(math.nan)
+            visibilities.append(math.nan)
+            return purities[-1]
         traces.append(float(np.sum(rho.diagonal().real) * dx))
-        np.conjugate(rho.T, out=buf)
+        # copied first: conjugating the transposed view would buffer it
+        np.copyto(buf, rho.T)
+        np.conjugate(buf, out=buf)
         np.subtract(rho, buf, out=buf)
         residuals.append(float(np.abs(buf, out=work).max()))
-        purities.append(float(np.vdot(rho, rho).real) * dx * dx)
         visibilities.append(math.nan if cat_spec is None
                             else _probe_visibility(rho, probe))
         return purities[-1]
@@ -612,10 +685,11 @@ def evolve_full(rho0: DensityGrid, sys: SystemParams, bath: BathParams,
     record()
     snapshots = [snap(t0)]
     snapshot_steps = [0]
+    mirror_steps = 0
     for k in range(1, n_steps + 1):
         dephase(2 * k - 2)
         if terms.kinetic:
-            _kinetic_flow(rho, buf, scratch, kinetic[k - 1])
+            mirror_steps += _kinetic_flow(rho, buf, scratch, kinetic[k - 1])
         dephase(2 * k - 1)
         # the sum of |rho|^2 is finite only if every element is
         if not math.isfinite(record()):
@@ -630,7 +704,7 @@ def evolve_full(rho0: DensityGrid, sys: SystemParams, bath: BathParams,
         times=times, trace=np.asarray(traces),
         herm_residual=np.asarray(residuals), purity=np.asarray(purities),
         visibility=np.asarray(visibilities), snapshots=snapshots,
-        snapshot_steps=snapshot_steps)
+        snapshot_steps=snapshot_steps, mirror_steps=mirror_steps)
 
 
 # Binary snapshot layout: little-endian header {u32 n, f64 extent_lo,

@@ -340,7 +340,8 @@ def _run_full_vs_dephasing(cfg: ScenarioConfig, out_dir: Path) -> dict:
     t_cmp = min(0.02, p["t_end"])
     dep_cfg = EvolveConfig(dt=dt, t_end=t_cmp, record_every=10 ** 9)
     toggles = TermToggles(kinetic=False, potential=False)
-    dep_run = evolve_full(rho0, sysp, bath, dep_cfg, terms=toggles)
+    dep_run = evolve_full(rho0, sysp, bath, dep_cfg, terms=toggles,
+                          diagnostics=False)
     dep_exact = evolve_dephasing(rho0, sysp, bath, t_cmp)
     max_norm = float(np.max(np.abs(dep_run.final.values - dep_exact.values)))
     checks.append(_check("dephasing_match_max_norm", max_norm, 1e-6,

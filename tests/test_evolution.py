@@ -20,7 +20,8 @@ from qbmlab.evolution import (MIN_STEPS, RESOLVED_VISIBILITY,
                               purity, read_snapshot, sample_bilinear,
                               suggest_timestep, write_snapshot)
 from qbmlab.evolution import (_dst_matrix, _kinetic_flow,
-                              _laplacian_eigenvalues, _parity_blocks)
+                              _laplacian_eigenvalues, _parity_blocks,
+                              _toeplitz)
 from qbmlab.analysis import fringe_visibility
 
 SYS = SystemParams()
@@ -36,6 +37,15 @@ def test_cat_state_unit_trace_and_hermitian():
     assert hermiticity_residual(rho) == 0.0
     assert purity(rho) == pytest.approx(1.0, abs=1e-12)
     assert min_eigenvalue_estimate(rho) >= -1e-12
+
+
+@pytest.mark.parametrize("n", [160, 161])
+@pytest.mark.parametrize("center", [0.0, 1.7])
+def test_cat_state_is_exactly_mirror_symmetric(n, center):
+    spec = CatStateSpec(separation=2.0, width=0.5, grid_center=center)
+    rho = init_cat_state(spec, n, 8.0)
+    np.testing.assert_array_equal(rho.values, rho.values[::-1, ::-1])
+    assert rho.extent == pytest.approx((center - 4.0, center + 4.0))
 
 
 def test_cat_state_visibility_is_one():
@@ -261,6 +271,24 @@ def test_diffusion_only_run_matches_dephasing_closed_form():
     assert np.abs(run.final.values - ref.values).max() <= 1e-6
 
 
+def test_run_without_diagnostics_keeps_the_grid():
+    spec = CatStateSpec(separation=1.0, width=0.5)
+    rho0 = init_cat_state(spec, 128, 7.0)
+    cfg = EvolveConfig(dt=2e-3, t_end=0.02, record_every=4)
+    toggles = TermToggles(kinetic=False, potential=False)
+    full = evolve_full(rho0, SYS, BATH, cfg, terms=toggles, cat_spec=spec)
+    bare = evolve_full(rho0, SYS, BATH, cfg, terms=toggles, cat_spec=spec,
+                       diagnostics=False)
+    assert bare.snapshot_steps == full.snapshot_steps
+    for a, b in zip(bare.snapshots, full.snapshots):
+        np.testing.assert_array_equal(a.values, b.values)
+    np.testing.assert_array_equal(bare.purity, full.purity)
+    for name in ("trace", "herm_residual", "visibility"):
+        values = getattr(bare, name)
+        assert values.shape == bare.times.shape
+        assert np.all(np.isnan(values))
+
+
 def test_free_gaussian_spreading():
     # Kinetic term only: position variance grows as
     # sigma^2 + (hbar t / (2 M sigma))^2 for a minimum-uncertainty packet.
@@ -302,6 +330,20 @@ def _flow_buffers(n: int):
             np.empty((n // 2, n), dtype=complex))
 
 
+@pytest.mark.parametrize("n", [64, 65, 256, 511])
+def test_dst_matrix_table_equals_direct_formula(n):
+    m = np.arange(1, n + 1)
+    direct = np.sqrt(2.0 / (n + 1)) * np.sin(
+        np.pi / (n + 1) * (np.outer(m, m) % (2 * (n + 1))))
+    assert np.array_equal(_dst_matrix(n), direct)
+
+
+def _mirror_rho(n: int, seed: int) -> np.ndarray:
+    # exactly rho = J rho J, neither Hermitian nor real
+    values = _random_rho(n, seed)
+    return values + values[::-1, ::-1]
+
+
 @pytest.mark.parametrize("n", [64, 65, 160, 161])
 def test_parity_flow_matches_dense_propagator(n):
     dx, h = 8.0 / (n - 1), 3e-3
@@ -309,8 +351,29 @@ def test_parity_flow_matches_dense_propagator(n):
     rho = _random_rho(n, n)
     ref = u @ rho @ u.conj().T
     blocks = _parity_blocks(_dst_matrix(n), _phases(n, dx, h))
-    _kinetic_flow(rho, *_flow_buffers(n), blocks)
+    assert not _kinetic_flow(rho, *_flow_buffers(n), blocks)
     assert np.abs(rho - ref).max() <= 1e-13 * np.abs(ref).max()
+
+
+@pytest.mark.parametrize("n", [64, 65, 160, 161])
+def test_mirror_flow_matches_dense_propagator(n):
+    dx, h = 8.0 / (n - 1), 3e-3
+    u = _dense_propagator(n, dx, h)
+    rho = _mirror_rho(n, n)
+    ref = u @ rho @ u.conj().T
+    blocks = _parity_blocks(_dst_matrix(n), _phases(n, dx, h))
+    assert _kinetic_flow(rho, *_flow_buffers(n), blocks)
+    assert np.abs(rho - ref).max() <= 1e-13 * np.abs(ref).max()
+    np.testing.assert_array_equal(rho, rho[::-1, ::-1])
+
+
+def test_mirror_flow_skips_non_finite_state():
+    # NaN != NaN: a symmetric state holding a NaN takes the full path
+    n = 64
+    rho = _mirror_rho(n, 3)
+    rho[5, 9] = rho[n - 6, n - 10] = np.nan
+    blocks = _parity_blocks(_dst_matrix(n), _phases(n, 8.0 / (n - 1), 1e-3))
+    assert not _kinetic_flow(rho, *_flow_buffers(n), blocks)
 
 
 @pytest.mark.parametrize("n", [64, 65, 160, 161])
@@ -324,6 +387,7 @@ def test_kinetic_run_matches_dense_propagator(n):
     run = evolve_full(rho0, SYS, BATH, cfg,
                       terms=TermToggles(potential=False, diffusion=False))
     assert len(run.times) == 4
+    assert run.mirror_steps == 0
     u, u_last = (_dense_propagator(n, rho0.dx, h) for h in (dt, 0.5 * dt))
     ref = values
     for step in (u, u, u_last):
@@ -331,20 +395,65 @@ def test_kinetic_run_matches_dense_propagator(n):
     assert np.abs(run.final.values - ref).max() <= 1e-13 * np.abs(ref).max()
 
 
-def test_kinetic_flow_allocates_no_full_grid():
-    # the fold, the four half-size products, the unfold and the transposes
-    # all work in the caller's arrays
-    n = 512
+def _flow_peak_bytes(rho: np.ndarray) -> tuple[bool, int]:
+    n = rho.shape[0]
     blocks = _parity_blocks(_dst_matrix(n), _phases(n, 12.0 / (n - 1), 1e-3))
-    rho = _random_rho(n, 7)
     buf, scratch = _flow_buffers(n)
     tracemalloc.start()
     try:
-        _kinetic_flow(rho, buf, scratch, blocks)
+        took_half_path = _kinetic_flow(rho, buf, scratch, blocks)
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
+    return took_half_path, peak
+
+
+def test_kinetic_flow_allocates_no_full_grid():
+    # the symmetry check, the fold, the four half-size products, the
+    # unfold and the transposes all work in the caller's arrays
+    rho = _random_rho(512, 7)
+    took_half_path, peak = _flow_peak_bytes(rho)
+    assert not took_half_path
     assert peak < rho.nbytes / 4
+
+
+def test_mirror_flow_allocates_no_full_grid():
+    rho = _mirror_rho(512, 7)
+    took_half_path, peak = _flow_peak_bytes(rho)
+    assert took_half_path
+    assert peak < rho.nbytes / 4
+
+
+def test_toeplitz_dephase_factor():
+    n, dx, d_theta = 161, 8.0 / 160, 0.37
+    x = np.linspace(-4.0, 4.0, n)
+    line = np.exp(-(np.arange(1 - n, n) * dx) ** 2 * d_theta / SYS.hbar)
+    factor = _toeplitz(line)
+    direct = np.exp(-np.subtract.outer(x, x) ** 2 * d_theta / SYS.hbar)
+    assert np.abs(factor - direct).max() <= 1e-14
+    np.testing.assert_array_equal(factor, factor.T)
+    np.testing.assert_array_equal(factor, factor[::-1, ::-1])
+
+
+@pytest.mark.parametrize("n", [160, 161])
+@pytest.mark.parametrize("center", [0.0, 1.7])
+def test_centred_cat_takes_mirror_path_every_step(n, center):
+    spec = CatStateSpec(separation=1.0, width=0.5, grid_center=center)
+    rho0 = init_cat_state(spec, n, 8.0)
+    run = evolve_full(rho0, SYS, BATH, EvolveConfig(dt=2e-3, t_end=0.01),
+                      cat_spec=spec)
+    assert run.mirror_steps == len(run.times) - 1 == 5
+    final = run.final.values
+    np.testing.assert_array_equal(final, final[::-1, ::-1])
+
+
+def test_off_centre_potential_takes_full_path():
+    # x^2 - x'^2 is not mirror-symmetric about an off-centre grid's middle
+    spec = CatStateSpec(separation=1.0, width=0.5, grid_center=1.7)
+    rho0 = init_cat_state(spec, 160, 8.0)
+    run = evolve_full(rho0, SystemParams(frequency=2.0), BATH,
+                      EvolveConfig(dt=2e-3, t_end=0.01))
+    assert run.mirror_steps == 0
 
 
 def test_full_solver_probe_matches_exact_route(oracle_run):
@@ -413,9 +522,11 @@ def test_nonfinite_input_raises_runtime_error():
     with pytest.raises(RuntimeError, match="Theta"):
         evolve_full(rho0, SYS, huge, cfg)
     # hbar h lam / 2M overflows: the kinetic phase, and so the state, is not
-    with pytest.raises(RuntimeError, match="non-finite values detected at "
-                                           "step 1 "):
-        evolve_full(rho0, SystemParams(mass=1e-320), BATH, cfg)
+    for diagnostics in (True, False):
+        with pytest.raises(RuntimeError, match="non-finite values detected "
+                                               "at step 1 "):
+            evolve_full(rho0, SystemParams(mass=1e-320), BATH, cfg,
+                        diagnostics=diagnostics)
 
 
 def _t_res_sici(sys, bath, separation: float) -> float:
