@@ -16,11 +16,13 @@ Two evolution paths:
   d^2/dx^2.  Each step is D/2 K D/2, and every substep is exact: the
   potential and diffusion terms act elementwise, and the kinetic term is
   diagonal in the DST-I basis.  The kinetic flow is applied in the
-  grid's mirror-parity basis, where it splits into two half-size blocks;
-  for a mirror-symmetric state, such as a cat centred on its grid, the
-  state's cross-parity blocks vanish too and half the products are
-  skipped.  No step allocates a full grid.  Individual terms can be
-  toggled off (``TermToggles``) to compare limits against closed forms.
+  grid's mirror-parity basis, where it splits into two half-size blocks.
+  A run whose state is mirror-symmetric, such as a cat centred on its
+  grid, holds only the state's top half: its kinetic flow is four
+  (n/2)^3 products, every other substep and diagnostic reads n/2 rows,
+  and the full grid is built only for snapshots.  No step allocates a
+  full grid.  Individual terms can be toggled off (``TermToggles``) to
+  compare limits against closed forms.
 
 A grid-free exact route covers the free particle at kT = 0 with only the
 kinetic and diffusion terms acting: ``free_cat_log_rho`` and
@@ -153,7 +155,7 @@ class EvolutionResult:
     visibility: np.ndarray      # NaN when no CatStateSpec was supplied
     snapshots: list
     snapshot_steps: list
-    mirror_steps: int = 0       # kinetic substeps on the mirror half path
+    mirror_steps: int = 0       # kinetic substeps run on the top half
 
     @property
     def final(self) -> DensityGrid:
@@ -227,12 +229,13 @@ def _check_free_zero_T(sys: SystemParams, bath: BathParams,
     if sys.frequency != 0 or bath.kT != 0:
         raise ValueError("the exact route needs frequency = 0 and kT = 0, "
                          f"got frequency = {sys.frequency:g}, kT = {bath.kT:g}")
+    # one call per coefficient on the whole time array; a scalar return
+    # (a constant coefficient) stands for every time
     for name in ("dissipation", "anomalous", "freq_shift"):
-        coef = getattr(coeffs, name)
-        if any(float(coef(float(tk))) != 0.0 for tk in t):
+        if np.any(np.broadcast_to(getattr(coeffs, name)(t), t.shape) != 0.0):
             raise ValueError(f"the exact route needs {name} = 0: it solves "
                              "the kinetic + diffusion equation only")
-    given = np.array([float(coeffs.diffusion(float(tk))) for tk in t])
+    given = np.broadcast_to(coeffs.diffusion(t), t.shape)
     if not np.allclose(given, diffusion_zero_T_free(sys, bath, t),
                        rtol=1e-12, atol=0.0):
         raise ValueError("the exact route needs the kT = 0 free-particle "
@@ -317,7 +320,12 @@ def grid_trace(rho: DensityGrid) -> float:
 
 
 def hermiticity_residual(rho: DensityGrid) -> float:
-    return float(np.max(np.abs(rho.values - rho.values.conj().T)))
+    """max |rho - rho^H|, with one complex temporary: rho^T is copied,
+    then conjugated and subtracted in place."""
+    diff = rho.values.T.copy()
+    np.conjugate(diff, out=diff)
+    np.subtract(rho.values, diff, out=diff)
+    return float(np.max(np.abs(diff)))
 
 
 def purity(rho: DensityGrid) -> float:
@@ -426,20 +434,15 @@ def _unfold(v: np.ndarray, scratch: np.ndarray) -> None:
 
 
 def _kinetic_flow(rho: np.ndarray, buf: np.ndarray, scratch: np.ndarray,
-                  blocks: tuple) -> bool:
-    """rho <- U rho U^H in place, with U given by _parity_blocks; returns
-    whether the mirror-symmetric half path (_mirror_flow) was taken.
+                  blocks: tuple) -> None:
+    """rho <- U rho U^H in place, with U given by _parity_blocks.
 
-    That path is taken only when rho equals J rho J exactly (J the grid's
-    mirror).  Otherwise U rho U^H = (P^T conj(V) P (U rho)^T)^T, because
-    V^T = V: a fold, the two row blocks' products with V, an unfold and a
-    transpose, then the same with conj(V).  Four half-size products in
-    place of two full ones, and no temporary: buf (n, n) and scratch
-    (n//2, n) are overwritten."""
+    U rho U^H = (P^T conj(V) P (U rho)^T)^T, because V^T = V: a fold, the
+    two row blocks' products with V, an unfold and a transpose, then the
+    same with conj(V).  Four half-size products in place of two full
+    ones, and no temporary: buf (n, n) and scratch (n//2, n) are
+    overwritten."""
     m = rho.shape[0] - rho.shape[0] // 2
-    if np.array_equal(rho[:m], rho[::-1, ::-1][:m]):
-        _mirror_flow(rho, buf, scratch, blocks)
-        return True
     vp, vm, vp_conj, vm_conj = blocks
     for even, odd in ((vp, vm), (vp_conj, vm_conj)):
         _fold(rho, scratch)
@@ -447,32 +450,116 @@ def _kinetic_flow(rho: np.ndarray, buf: np.ndarray, scratch: np.ndarray,
         np.matmul(odd, rho[m:], out=buf[m:])
         _unfold(buf, scratch)
         np.copyto(rho, buf.T)
-    return False
 
 
-def _mirror_flow(rho: np.ndarray, buf: np.ndarray, scratch: np.ndarray,
-                 blocks: tuple) -> None:
-    """rho <- U rho U^H in place for a mirror-symmetric rho = J rho J.
+def _mirror_symmetric(v: np.ndarray) -> bool:
+    """Whether v equals its mirror image exactly (J v J for a grid, with J
+    the mirror x_i <-> x_{n-1-i}; v reversed for a vector).  Never true
+    for an array holding a NaN."""
+    return bool(np.array_equal(v, np.flip(v)))
 
-    U rho U^H = P^T V R conj(V) P with R = P rho P^T.  The mirror flips
-    the sign of R's odd rows and columns, so R's cross-parity blocks
-    vanish, exactly so for an exactly symmetric rho, and so do those of
-    X = V R conj(V): X+ = V+ R++ conj(V+), X- = V- R-- conj(V-), four
-    (n/2)^3 products.  Built as transposes, since V^T = V: R^T = P (P
-    rho)^T, X^T = conj(V) R^T V, then P^T X P = P^T (P^T X^T)^T.  The
-    result is again exactly mirror-symmetric."""
-    m = rho.shape[0] - rho.shape[0] // 2
+
+def _half_blocks(blocks: tuple) -> tuple:
+    """_parity_blocks' (V+, V-, conj V+, conj V-) pre-scaled for _half_flow:
+    V+ with its first n//2 columns doubled, and 2 V-."""
     vp, vm, vp_conj, vm_conj = blocks
-    _fold(rho, scratch)
-    np.copyto(buf, rho.T)
-    _fold(buf, scratch)
-    np.matmul(vp_conj, buf[:m, :m], out=rho[:m, :m])
-    np.matmul(rho[:m, :m], vp, out=buf[:m, :m])
-    np.matmul(vm_conj, buf[m:, m:], out=rho[m:, m:])
-    np.matmul(rho[m:, m:], vm, out=buf[m:, m:])
-    _unfold(buf, scratch)
-    np.copyto(rho, buf.T)
-    _unfold(rho, scratch)
+    h = vm.shape[0]
+    scaled = vp.copy()
+    scaled[:, :h] *= 2.0
+    return scaled, 2.0 * vm, vp_conj, vm_conj
+
+
+def _half_flow(top: np.ndarray, work: tuple, blocks: tuple) -> None:
+    """top <- the top rows of U rho U^H, in place, for a mirror-symmetric
+    rho = J rho J held as its top m = n - n//2 rows; blocks come from
+    _half_blocks, and work holds two (m, m) and two (h, h) complex arrays,
+    h = n//2, which are overwritten.
+
+    U rho U^H = P^T V R conj(V) P with R = P rho P^T (_parity_blocks).
+    With C = rho P^T, the column fold of rho, J rho J = rho gives
+    C[n-1-i] = C[i] S, with S = +1 on the even and -1 on the odd columns.
+    So R's cross-parity blocks vanish, and R++ = diag(2, .., 2, 1) C++,
+    R-- = 2 C[:h, m:], both from the top rows alone (the 1 is the middle
+    row when n is odd); the 2s are folded into the blocks.  Then
+    X+ = V+ R++ conj(V+) and X- = V- R-- conj(V-) are four half-size
+    products, and the top rows of P^T X P are the column unfold of
+    [X+ | X-] (for odd n, the middle row of X+ alone).  The rebuilt rho
+    is exactly mirror-symmetric."""
+    n = top.shape[1]
+    h = n // 2
+    m = n - h
+    vp, vm, vp_conj, vm_conj = blocks
+    even, odd, even_tmp, odd_tmp = work
+    mirror = top[:, ::-1]
+    np.add(top[:, :h], mirror[:, :h], out=even[:, :h])
+    np.subtract(top[:h, :h], mirror[:h, :h], out=odd)
+    if m > h:
+        even[:, h] = top[:, h]
+    np.matmul(vp, even, out=even_tmp)
+    np.matmul(even_tmp, vp_conj, out=even)
+    np.matmul(vm, odd, out=odd_tmp)
+    np.matmul(odd_tmp, vm_conj, out=odd)
+    np.add(even[:h, :h], odd, out=top[:h, :h])
+    np.subtract(even[:h, :h], odd, out=mirror[:h, :h])
+    if m > h:
+        top[:, h] = even[:, h]
+        top[h, :h] = mirror[h, :h] = even[h, :h]
+
+
+def _half_work(n: int) -> tuple:
+    """The work arrays of _half_flow on an (n, n) grid."""
+    h, m = n // 2, n - n // 2
+    return (np.empty((m, m), dtype=complex), np.empty((h, h), dtype=complex),
+            np.empty((m, m), dtype=complex), np.empty((h, h), dtype=complex))
+
+
+def _half_bottom(top: np.ndarray) -> np.ndarray:
+    """The bottom n//2 rows of rho = J rho J, as a view of its top rows."""
+    return top[:top.shape[1] // 2][::-1, ::-1]
+
+
+def _half_grid(top: np.ndarray) -> np.ndarray:
+    """The full (n, n) grid of rho = J rho J from its top rows."""
+    n, m = top.shape[1], top.shape[0]
+    full = np.empty((n, n), dtype=complex)
+    full[:m] = top
+    full[m:] = _half_bottom(top)
+    return full
+
+
+def _half_trace(top: np.ndarray) -> float:
+    """Sum of rho's diagonal (real part) from its top rows: each row but
+    the middle one (odd n) stands for its mirror row too."""
+    d = top.diagonal().real
+    h = top.shape[1] // 2
+    return float(2.0 * np.sum(d[:h]) + np.sum(d[h:]))
+
+
+def _half_norm2(top: np.ndarray) -> float:
+    """Sum of |rho|^2 from its top rows, counted as in _half_trace."""
+    h = top.shape[1] // 2
+    return float(2.0 * np.vdot(top[:h], top[:h]).real
+                 + np.vdot(top[h:], top[h:]).real)
+
+
+def _half_residual(top: np.ndarray, buf: np.ndarray,
+                   work: np.ndarray) -> float:
+    """max |rho - rho^H| from rho's top rows; rho - rho^H is itself
+    mirror-symmetric, so its top rows hold its maximum.  buf (complex)
+    and work (real) have top's shape and are overwritten."""
+    m = top.shape[0]
+    # the top rows of rho^T are those of rho's first m columns, transposed
+    np.copyto(buf[:, :m], top[:, :m].T)
+    np.copyto(buf[:, m:], _half_bottom(top)[:, :m].T)
+    np.conjugate(buf, out=buf)
+    np.subtract(top, buf, out=buf)
+    return float(np.abs(buf, out=work).max())
+
+
+def _half_matvec(top: np.ndarray, w: np.ndarray) -> np.ndarray:
+    """rho @ w from rho's top rows: [top @ w ; reverse(top[:h] @ w[::-1])]."""
+    h = top.shape[1] // 2
+    return np.concatenate((top @ w, (top[:h] @ w[::-1])[::-1]))
 
 
 def _sine_weights(s: np.ndarray, extent: tuple[float, float],
@@ -504,14 +591,14 @@ def _cat_probe(s: np.ndarray, extent: tuple[float, float],
             _sine_weights(s, extent, spec.grid_center - 0.5 * spec.separation))
 
 
-def _probe_visibility(v: np.ndarray, probe) -> float:
-    """2|rho(x+, x-)| / (rho(x+, x+) + rho(x-, x-)) of the grid values v at
-    the weights of _cat_probe; reads v in place, so the solver can probe
-    its live array."""
+def _probe_visibility(apply, probe) -> float:
+    """2|rho(x+, x-)| / (rho(x+, x+) + rho(x-, x-)) at the weights of
+    _cat_probe, of the state whose product with a vector w is apply(w); so
+    the solver can probe its live arrays."""
     if probe is None:
         return 1.0
     wp, wm = probe
-    vp, vm = v @ wp, v @ wm
+    vp, vm = apply(wp), apply(wm)
     return 2.0 * abs(wp @ vm) / ((wp @ vp).real + (wm @ vm).real)
 
 
@@ -520,7 +607,7 @@ def _visibility(v: np.ndarray, extent: tuple[float, float],
     """Fringe visibility of the grid values v spanning extent, read by the
     sine-series interpolant (see analysis.fringe_visibility)."""
     return _probe_visibility(
-        v, _cat_probe(_dst_matrix(v.shape[0]), extent, spec))
+        v.__matmul__, _cat_probe(_dst_matrix(v.shape[0]), extent, spec))
 
 
 def suggest_timestep(sys: SystemParams, bath: BathParams, separation: float,
@@ -565,7 +652,10 @@ def evolve_full(rho0: DensityGrid, sys: SystemParams, bath: BathParams,
       the diffusion and potential terms.  Theta at every half-step time
       comes from one exponent_trace call; D(t) is never sampled.  The
       diffusion factor depends on i - j alone: with the potential off it
-      is 2n - 1 exponentials read through a Toeplitz view.
+      is 2n - 1 exponentials read through a Toeplitz view.  x is the
+      grid's centre plus the exactly antisymmetric offsets
+      (i - (n-1)/2) dx, so x^2 is exactly mirror-symmetric on a grid
+      centred at 0.
     * K is the kinetic flow, S [(S rho S) * exp(i hbar h (lam_i - lam_j) /
       2M)] S, with S the DST-I matrix and lam the eigenvalues of the
       Dirichlet-zero second difference.  The phase matrix is the outer
@@ -574,10 +664,17 @@ def evolve_full(rho0: DensityGrid, sys: SystemParams, bath: BathParams,
       mirror, so it is applied as P^T V P with P the parity fold and V
       two complex-symmetric blocks of half size (_parity_blocks): four
       (n/2, n/2, n) products per step in place of two (n, n, n) ones.
-      When rho is exactly mirror-symmetric, as a cat centred on its grid
-      stays with the potential off, the cross-parity blocks of P rho P^T
-      vanish and four (n/2)^3 products do (_mirror_flow); the result's
-      ``mirror_steps`` counts those steps.
+
+    Whether the run is mirror-symmetric is decided once: when rho0 equals
+    J rho0 J exactly (J the mirror x_i <-> x_{n-1-i}), as a cat centred
+    on its grid does, and the potential, if on, is mirror-symmetric too,
+    every substep keeps rho = J rho J.  Such a run holds only rho's top
+    n - n//2 rows: K is four (n/2)^3 products on their column fold
+    (_half_flow), D multiplies them by the factor's top rows, and the
+    diagnostics come from them by the mirror identities.  The full grid
+    is built only for snapshots.  The result's ``mirror_steps`` counts
+    the kinetic substeps taken that way.  Any other state runs the full
+    grid.
 
     Every substep and diagnostic works in place in a fixed set of arrays.
     Scalar diagnostics (trace, hermiticity residual, purity, visibility
@@ -610,16 +707,24 @@ def evolve_full(rho0: DensityGrid, sys: SystemParams, bath: BathParams,
                 f"Theta(t) is not finite on [{t_half[0]:.6g}, "
                 f"{t_half[-1]:.6g}]: {exc}") from exc
         d_theta = np.diff(theta)
+    x2 = None
+    if terms.potential and sys.frequency != 0.0:
+        x = 0.5 * (rho0.extent[0] + rho0.extent[1]) \
+            + (np.arange(n) - 0.5 * (n - 1)) * dx
+        x2 = x * x
+    half = _mirror_symmetric(rho0.values) and (
+        x2 is None or _mirror_symmetric(x2))
+    rows = n - n // 2 if half else n
     # -(x_i - x_j)^2 / hbar depends on i - j alone: a (2n - 1)-line, read
     # as an (n, n) Toeplitz view, exactly symmetric in i - j
     neg_q2_line = -(np.arange(1 - n, n) * dx) ** 2 / sys.hbar
     factor_line = np.empty_like(neg_q2_line)
-    neg_q2, factor = _toeplitz(neg_q2_line), _toeplitz(factor_line)
+    neg_q2 = _toeplitz(neg_q2_line)[:rows]
+    factor = _toeplitz(factor_line)[:rows]
     potential = None
-    if terms.potential and sys.frequency != 0.0:
-        x = rho0.axis()
+    if x2 is not None:
         potential = (-0.5j * sys.mass * sys.frequency ** 2 / sys.hbar) \
-            * np.subtract.outer(x * x, x * x)
+            * np.subtract.outer(x2[:rows], x2)
 
     s = _dst_matrix(n) if terms.kinetic or cat_spec is not None else None
     probe = None if cat_spec is None else _cat_probe(s, rho0.extent,
@@ -628,8 +733,9 @@ def evolve_full(rho0: DensityGrid, sys: SystemParams, bath: BathParams,
         lam = _laplacian_eigenvalues(n, dx)
 
         def propagator(h: float):
-            return _parity_blocks(
+            blocks = _parity_blocks(
                 s, np.exp((0.5j * sys.hbar * h / sys.mass) * lam))
+            return _half_blocks(blocks) if half else blocks
 
         kinetic = [propagator(cfg.dt)] * n_steps
         # t_end - (n_steps - 1) dt is off dt by rounding alone when
@@ -639,10 +745,21 @@ def evolve_full(rho0: DensityGrid, sys: SystemParams, bath: BathParams,
             kinetic[-1] = propagator(h_last)
 
     # the step's work arrays; no substep or record allocates a full grid
-    rho = rho0.values.copy()
+    rho = rho0.values[:rows].copy()
     buf = np.empty_like(rho)
-    work = np.empty((n, n))
-    scratch = np.empty((n // 2, n), dtype=complex) if terms.kinetic else None
+    work = np.empty(rho.shape)
+    if not terms.kinetic:
+        flow = None
+    elif half:
+        flow_work = _half_work(n)
+
+        def flow(blocks: tuple) -> None:
+            _half_flow(rho, flow_work, blocks)
+    else:
+        scratch = np.empty((n // 2, n), dtype=complex)
+
+        def flow(blocks: tuple) -> None:
+            _kinetic_flow(rho, buf, scratch, blocks)
 
     def dephase(j: int) -> None:
         if potential is not None:
@@ -662,34 +779,41 @@ def evolve_full(rho0: DensityGrid, sys: SystemParams, bath: BathParams,
     traces, residuals, purities, visibilities = [], [], [], []
 
     def record() -> float:
-        purities.append(float(np.vdot(rho, rho).real) * dx * dx)
+        norm2 = _half_norm2(rho) if half else float(np.vdot(rho, rho).real)
+        purities.append(norm2 * dx * dx)
         if not diagnostics:
             traces.append(math.nan)
             residuals.append(math.nan)
             visibilities.append(math.nan)
-            return purities[-1]
-        traces.append(float(np.sum(rho.diagonal().real) * dx))
-        # copied first: conjugating the transposed view would buffer it
-        np.copyto(buf, rho.T)
-        np.conjugate(buf, out=buf)
-        np.subtract(rho, buf, out=buf)
-        residuals.append(float(np.abs(buf, out=work).max()))
-        visibilities.append(math.nan if cat_spec is None
-                            else _probe_visibility(rho, probe))
+        elif half:
+            traces.append(_half_trace(rho) * dx)
+            residuals.append(_half_residual(rho, buf, work))
+            visibilities.append(math.nan if cat_spec is None else
+                                _probe_visibility(
+                                    lambda w: _half_matvec(rho, w), probe))
+        else:
+            traces.append(float(np.sum(rho.diagonal().real) * dx))
+            # copied first: conjugating the transposed view would buffer it
+            np.copyto(buf, rho.T)
+            np.conjugate(buf, out=buf)
+            np.subtract(rho, buf, out=buf)
+            residuals.append(float(np.abs(buf, out=work).max()))
+            visibilities.append(math.nan if cat_spec is None
+                                else _probe_visibility(rho.__matmul__, probe))
         return purities[-1]
 
     def snap(t: float) -> DensityGrid:
-        return DensityGrid(n=n, extent=rho0.extent, values=rho.copy(),
+        return DensityGrid(n=n, extent=rho0.extent,
+                           values=_half_grid(rho) if half else rho.copy(),
                            time=t)
 
     record()
     snapshots = [snap(t0)]
     snapshot_steps = [0]
-    mirror_steps = 0
     for k in range(1, n_steps + 1):
         dephase(2 * k - 2)
-        if terms.kinetic:
-            mirror_steps += _kinetic_flow(rho, buf, scratch, kinetic[k - 1])
+        if flow is not None:
+            flow(kinetic[k - 1])
         dephase(2 * k - 1)
         # the sum of |rho|^2 is finite only if every element is
         if not math.isfinite(record()):
@@ -704,7 +828,8 @@ def evolve_full(rho0: DensityGrid, sys: SystemParams, bath: BathParams,
         times=times, trace=np.asarray(traces),
         herm_residual=np.asarray(residuals), purity=np.asarray(purities),
         visibility=np.asarray(visibilities), snapshots=snapshots,
-        snapshot_steps=snapshot_steps, mirror_steps=mirror_steps)
+        snapshot_steps=snapshot_steps,
+        mirror_steps=n_steps if half and flow is not None else 0)
 
 
 # Binary snapshot layout: little-endian header {u32 n, f64 extent_lo,

@@ -9,7 +9,8 @@ import scipy.optimize
 import scipy.special
 
 from qbmlab.params import BathParams, SystemParams
-from qbmlab.coefficients import CoefficientSet, diffusion_zero_T_free
+from qbmlab.coefficients import (CoefficientSet, decoherence_exponent,
+                                 diffusion_zero_T_free)
 from qbmlab.evolution import (MIN_STEPS, RESOLVED_VISIBILITY,
                               STEPS_TO_RESOLVE, CatStateSpec, DensityGrid,
                               EvolveConfig, TermToggles, dephasing_factor,
@@ -19,9 +20,10 @@ from qbmlab.evolution import (MIN_STEPS, RESOLVED_VISIBILITY,
                               init_cat_state, min_eigenvalue_estimate,
                               purity, read_snapshot, sample_bilinear,
                               suggest_timestep, write_snapshot)
-from qbmlab.evolution import (_dst_matrix, _kinetic_flow,
-                              _laplacian_eigenvalues, _parity_blocks,
-                              _toeplitz)
+from qbmlab.evolution import (_dst_matrix, _half_blocks, _half_flow,
+                              _half_grid, _half_work, _kinetic_flow,
+                              _laplacian_eigenvalues, _mirror_symmetric,
+                              _parity_blocks, _toeplitz, _visibility)
 from qbmlab.analysis import fringe_visibility
 
 SYS = SystemParams()
@@ -46,6 +48,13 @@ def test_cat_state_is_exactly_mirror_symmetric(n, center):
     rho = init_cat_state(spec, n, 8.0)
     np.testing.assert_array_equal(rho.values, rho.values[::-1, ::-1])
     assert rho.extent == pytest.approx((center - 4.0, center + 4.0))
+
+
+def test_hermiticity_residual_equals_direct_formula():
+    values = _random_rho(161, 11)
+    grid = DensityGrid(n=161, extent=(-4.0, 4.0), values=values, time=0.0)
+    assert hermiticity_residual(grid) == float(
+        np.max(np.abs(values - values.conj().T)))
 
 
 def test_cat_state_visibility_is_one():
@@ -261,6 +270,27 @@ def test_exact_route_rejects_other_dynamics():
         free_cat_log_rho(spec, SYS, BATH, damped, 0.5, -0.5, t)
 
 
+def test_exact_route_calls_each_coefficient_once():
+    # every coefficient is called once, on the whole time array
+    t = np.linspace(0.01, 0.1, 17)
+    closed = CoefficientSet.zero_T_free(SYS, BATH)
+    calls = []
+
+    def counted(f):
+        def wrapped(s):
+            calls.append(np.shape(s))
+            return f(s)
+        return wrapped
+
+    coeffs = CoefficientSet(diffusion=counted(closed.diffusion),
+                            dissipation=counted(closed.dissipation),
+                            anomalous=counted(closed.anomalous),
+                            freq_shift=counted(lambda s: 0.0))
+    free_cat_log_visibility(CatStateSpec(separation=1.0, width=0.5), SYS,
+                            BATH, coeffs, t)
+    assert calls == [t.shape] * 4
+
+
 def test_diffusion_only_run_matches_dephasing_closed_form():
     spec = CatStateSpec(separation=1.0, width=0.5)
     rho0 = init_cat_state(spec, 128, 7.0)
@@ -351,8 +381,18 @@ def test_parity_flow_matches_dense_propagator(n):
     rho = _random_rho(n, n)
     ref = u @ rho @ u.conj().T
     blocks = _parity_blocks(_dst_matrix(n), _phases(n, dx, h))
-    assert not _kinetic_flow(rho, *_flow_buffers(n), blocks)
+    assert not _mirror_symmetric(rho)
+    _kinetic_flow(rho, *_flow_buffers(n), blocks)
     assert np.abs(rho - ref).max() <= 1e-13 * np.abs(ref).max()
+
+
+def _half_flow_grid(rho: np.ndarray, dx: float, h: float) -> np.ndarray:
+    # one kinetic substep on rho's top rows, rebuilt to the full grid
+    n = rho.shape[0]
+    top = rho[:n - n // 2].copy()
+    blocks = _parity_blocks(_dst_matrix(n), _phases(n, dx, h))
+    _half_flow(top, _half_work(n), _half_blocks(blocks))
+    return _half_grid(top)
 
 
 @pytest.mark.parametrize("n", [64, 65, 160, 161])
@@ -361,19 +401,26 @@ def test_mirror_flow_matches_dense_propagator(n):
     u = _dense_propagator(n, dx, h)
     rho = _mirror_rho(n, n)
     ref = u @ rho @ u.conj().T
-    blocks = _parity_blocks(_dst_matrix(n), _phases(n, dx, h))
-    assert _kinetic_flow(rho, *_flow_buffers(n), blocks)
-    assert np.abs(rho - ref).max() <= 1e-13 * np.abs(ref).max()
-    np.testing.assert_array_equal(rho, rho[::-1, ::-1])
+    assert _mirror_symmetric(rho)
+    out = _half_flow_grid(rho, dx, h)
+    scale = np.abs(ref).max()
+    assert np.abs(out - ref).max() <= 1e-13 * scale
+    np.testing.assert_array_equal(out, out[::-1, ::-1])
+    if n % 2:
+        # the middle row and column, held once, stand for no mirror row
+        mid = n // 2
+        assert np.abs(out[mid] - ref[mid]).max() <= 1e-13 * scale
+        assert np.abs(out[:, mid] - ref[:, mid]).max() <= 1e-13 * scale
 
 
 def test_mirror_flow_skips_non_finite_state():
-    # NaN != NaN: a symmetric state holding a NaN takes the full path
+    # NaN != NaN: a symmetric state holding a NaN is not taken as
+    # mirror-symmetric, so it would run on the full grid
     n = 64
     rho = _mirror_rho(n, 3)
+    assert _mirror_symmetric(rho)
     rho[5, 9] = rho[n - 6, n - 10] = np.nan
-    blocks = _parity_blocks(_dst_matrix(n), _phases(n, 8.0 / (n - 1), 1e-3))
-    assert not _kinetic_flow(rho, *_flow_buffers(n), blocks)
+    assert not _mirror_symmetric(rho)
 
 
 @pytest.mark.parametrize("n", [64, 65, 160, 161])
@@ -395,32 +442,38 @@ def test_kinetic_run_matches_dense_propagator(n):
     assert np.abs(run.final.values - ref).max() <= 1e-13 * np.abs(ref).max()
 
 
-def _flow_peak_bytes(rho: np.ndarray) -> tuple[bool, int]:
-    n = rho.shape[0]
-    blocks = _parity_blocks(_dst_matrix(n), _phases(n, 12.0 / (n - 1), 1e-3))
-    buf, scratch = _flow_buffers(n)
+def _peak_bytes(flow) -> int:
     tracemalloc.start()
     try:
-        took_half_path = _kinetic_flow(rho, buf, scratch, blocks)
+        flow()
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    return took_half_path, peak
+    return peak
+
+
+def _blocks_512() -> tuple:
+    n = 512
+    return _parity_blocks(_dst_matrix(n), _phases(n, 12.0 / (n - 1), 1e-3))
 
 
 def test_kinetic_flow_allocates_no_full_grid():
-    # the symmetry check, the fold, the four half-size products, the
-    # unfold and the transposes all work in the caller's arrays
+    # the fold, the four half-size products, the unfold and the
+    # transposes all work in the caller's arrays
     rho = _random_rho(512, 7)
-    took_half_path, peak = _flow_peak_bytes(rho)
-    assert not took_half_path
+    assert not _mirror_symmetric(rho)
+    blocks, (buf, scratch) = _blocks_512(), _flow_buffers(512)
+    peak = _peak_bytes(lambda: _kinetic_flow(rho, buf, scratch, blocks))
     assert peak < rho.nbytes / 4
 
 
 def test_mirror_flow_allocates_no_full_grid():
+    # the column fold, the products and the unfold work in the caller's
+    # arrays; what is left is numpy's ufunc buffers for strided operands
     rho = _mirror_rho(512, 7)
-    took_half_path, peak = _flow_peak_bytes(rho)
-    assert took_half_path
+    top, work = rho[:256].copy(), _half_work(512)
+    blocks = _half_blocks(_blocks_512())
+    peak = _peak_bytes(lambda: _half_flow(top, work, blocks))
     assert peak < rho.nbytes / 4
 
 
@@ -445,6 +498,101 @@ def test_centred_cat_takes_mirror_path_every_step(n, center):
     assert run.mirror_steps == len(run.times) - 1 == 5
     final = run.final.values
     np.testing.assert_array_equal(final, final[::-1, ::-1])
+
+
+@pytest.mark.parametrize("n", [160, 161])
+def test_centred_potential_takes_half_path(n):
+    # x is built from exactly antisymmetric offsets, so x^2 - x'^2 keeps
+    # rho = J rho J on a grid centred at 0
+    spec = CatStateSpec(separation=1.0, width=0.5)
+    rho0 = init_cat_state(spec, n, 8.0)
+    run = evolve_full(rho0, SystemParams(frequency=2.0), BATH,
+                      EvolveConfig(dt=2e-3, t_end=0.01), cat_spec=spec)
+    assert run.mirror_steps == len(run.times) - 1 == 5
+    final = run.final.values
+    np.testing.assert_array_equal(final, final[::-1, ::-1])
+
+
+def _dense_strang_run(values, extent, sys, bath, dt, n_steps):
+    # Strang steps D/2 U D/2 on the full grid: dense U, each half-step's
+    # factor exp(-(x-x')^2 dTheta/hbar - i (M W^2/2 hbar)(x^2-x'^2) dt/2)
+    n = values.shape[0]
+    x = np.linspace(extent[0], extent[1], n)
+    u = _dense_propagator(n, (extent[1] - extent[0]) / (n - 1), dt)
+    q2 = np.subtract.outer(x, x) ** 2
+    pot = (-0.5j * sys.mass * sys.frequency ** 2 / sys.hbar) \
+        * np.subtract.outer(x * x, x * x)
+    half_times = 0.5 * dt * np.arange(2 * n_steps + 1)
+    theta = [decoherence_exponent(sys, bath, t) if t > 0 else 0.0
+             for t in half_times]
+    rho = values.copy()
+    for k in range(n_steps):
+        for j in (2 * k, 2 * k + 1):
+            rho = rho * np.exp(-q2 * (theta[j + 1] - theta[j]) / sys.hbar
+                               + pot * 0.5 * dt)
+            if j == 2 * k:
+                rho = u @ rho @ u.conj().T
+    return rho
+
+
+@pytest.mark.parametrize("n", [64, 65, 160, 161])
+@pytest.mark.parametrize("frequency", [0.0, 2.0])
+def test_half_path_run_matches_dense_propagator(n, frequency):
+    # random mirror-symmetric, non-Hermitian states on a grid centred at
+    # 0, with diffusion on and the potential off and on
+    sys = SystemParams(frequency=frequency)
+    values = _mirror_rho(n, 3000 + n)
+    rho0 = DensityGrid(n=n, extent=(-4.0, 4.0), values=values, time=0.0)
+    dt = 2e-3
+    run = evolve_full(rho0, sys, BATH,
+                      EvolveConfig(dt=dt, t_end=3 * dt, record_every=10 ** 6))
+    assert run.mirror_steps == 3
+    ref = _dense_strang_run(values, rho0.extent, sys, BATH, dt, 3)
+    assert np.abs(run.final.values - ref).max() <= 1e-13 * np.abs(ref).max()
+
+
+@pytest.mark.parametrize("n", [160, 161])
+def test_half_path_diagnostics_match_full_grid(n):
+    # a centred cat plus a mirror-symmetric, non-Hermitian perturbation;
+    # every step's scalars against the public functions on its grid
+    spec = CatStateSpec(separation=1.0, width=0.5)
+    cat = init_cat_state(spec, n, 8.0)
+    rho0 = DensityGrid(n=n, extent=cat.extent, time=0.0,
+                       values=cat.values + 1e-3 * _mirror_rho(n, 4000 + n))
+    run = evolve_full(rho0, SystemParams(frequency=2.0), BATH,
+                      EvolveConfig(dt=2e-3, t_end=0.01, record_every=1),
+                      cat_spec=spec)
+    assert run.mirror_steps == 5
+    assert run.snapshot_steps == list(range(6))
+    for k, grid in enumerate(run.snapshots):
+        assert run.trace[k] == pytest.approx(grid_trace(grid), rel=1e-13)
+        assert run.purity[k] == pytest.approx(purity(grid), rel=1e-13)
+        assert run.herm_residual[k] == pytest.approx(
+            hermiticity_residual(grid), rel=1e-13)
+        assert run.visibility[k] == pytest.approx(
+            _visibility(grid.values, grid.extent, spec), rel=1e-13)
+    assert run.herm_residual.min() > 1e-5
+
+
+@pytest.mark.parametrize("n", [160, 161])
+@pytest.mark.parametrize("symmetric", [True, False])
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+def test_non_finite_state_raises_on_either_path(n, symmetric):
+    # hbar h lam / 2M overflows: the kinetic phase, and so the state, is
+    # not finite after the first step's flow, on the top rows of a
+    # centred cat or on the full grid of a random state
+    spec = CatStateSpec(separation=1.0, width=0.5)
+    rho0 = init_cat_state(spec, n, 8.0)
+    if not symmetric:
+        rho0 = DensityGrid(n=n, extent=rho0.extent, time=0.0,
+                           values=_random_rho(n, n))
+    assert _mirror_symmetric(rho0.values) == symmetric
+    for diagnostics in (True, False):
+        with pytest.raises(RuntimeError, match=r"non-finite values detected "
+                                               r"at step 1 \(t = 0.1\)"):
+            evolve_full(rho0, SystemParams(mass=1e-320), BATH,
+                        EvolveConfig(dt=0.1, t_end=0.3), cat_spec=spec,
+                        diagnostics=diagnostics)
 
 
 def test_off_centre_potential_takes_full_path():
