@@ -11,12 +11,9 @@ on a grid, and fit decay laws to the resulting coherence traces.
 from .params import (SystemParams, BathParams, Timescales, RegimeReport,
                      derive_timescales, coherence_length, decoherence_time,
                      classify_regime, default_fit_window)
-from .spectral import SpectralDensity
-from .kernels import (KernelTrace, noise_kernel, kernel_trace,
-                      noise_kernel_zero_T_closed, noise_kernel_high_T_closed,
-                      noise_kernel_quadrature)
-from .coefficients import (CoefficientSet, ExponentTrace, alpha_theory,
-                           cosine_integral, diffusion_coefficient,
+from .kernels import (KernelTrace, kernel_trace, noise_kernel_zero_T_closed,
+                      noise_kernel_high_T_closed, noise_kernel_quadrature)
+from .coefficients import (ExponentTrace, alpha_theory, diffusion_coefficient,
                            diffusion_closed_zero_T, diffusion_zero_T_free,
                            diffusion_moments_zero_T_free, decoherence_exponent,
                            exponent_closed_zero_T, exponent_trace)
@@ -38,13 +35,10 @@ __all__ = [
     "SystemParams", "BathParams", "Timescales", "RegimeReport",
     "derive_timescales", "coherence_length", "decoherence_time",
     "classify_regime", "default_fit_window",
-    "SpectralDensity",
-    "KernelTrace", "noise_kernel", "kernel_trace",
-    "noise_kernel_zero_T_closed", "noise_kernel_high_T_closed",
-    "noise_kernel_quadrature",
-    "CoefficientSet", "ExponentTrace", "alpha_theory", "cosine_integral",
-    "diffusion_coefficient", "diffusion_closed_zero_T",
-    "diffusion_zero_T_free",
+    "KernelTrace", "kernel_trace", "noise_kernel_zero_T_closed",
+    "noise_kernel_high_T_closed", "noise_kernel_quadrature",
+    "ExponentTrace", "alpha_theory", "diffusion_coefficient",
+    "diffusion_closed_zero_T", "diffusion_zero_T_free",
     "diffusion_moments_zero_T_free", "decoherence_exponent",
     "exponent_closed_zero_T", "exponent_trace",
     "CatStateSpec", "DensityGrid", "EvolveConfig", "TermToggles",

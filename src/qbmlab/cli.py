@@ -25,10 +25,7 @@ from .quadrature import REL_TOL
 
 __all__ = ["main"]
 
-_PARAM_KEYS = ("mass", "frequency", "hbar", "gamma", "cutoff", "kT")
-# Baseline free-particle-ish zero-T parameter set; every flag overrides.
-_PARAM_DEFAULTS = {"mass": 1.0, "frequency": 1e-4, "hbar": 1.0,
-                   "gamma": 0.05, "cutoff": 200.0, "kT": 0.0}
+_PARAM_KEYS = tuple(scenarios._BASE)
 _FMT = "{:.12e}"
 
 
@@ -43,12 +40,6 @@ def _jsonable(value):
     return value
 
 
-def _write_json(path: Path, doc) -> None:
-    path.parent.mkdir(parents=True, exist_ok=True)
-    with open(path, "w", encoding="utf-8", newline="") as fh:
-        fh.write(json.dumps(doc, sort_keys=True, indent=2) + "\n")
-
-
 def _write_csv(path: Path, header: str, rows) -> None:
     path.parent.mkdir(parents=True, exist_ok=True)
     with open(path, "w", encoding="utf-8", newline="") as fh:
@@ -59,7 +50,7 @@ def _write_csv(path: Path, header: str, rows) -> None:
 
 
 def _params_from(args) -> tuple[SystemParams, BathParams]:
-    base = dict(_PARAM_DEFAULTS)
+    base = dict(scenarios._BASE)
     if args.config is not None:
         with open(args.config, "r", encoding="utf-8") as fh:
             doc = json.load(fh)
@@ -137,9 +128,9 @@ def _cmd_kernel(args) -> int:
         mask = np.abs(oracle) > 1e-12 * scale
         max_rel = float(np.max(np.abs(trace.values[mask] - oracle[mask])
                                / np.abs(oracle[mask])))
-    _write_json(out / "kernel.json",
-                {"params": _param_doc(sysp, bath), "tolerance": REL_TOL,
-                 "max_rel_err_vs_oracle": max_rel})
+    scenarios._write_text(out / "kernel.json", scenarios._json_text(
+        {"params": _param_doc(sysp, bath), "tolerance": REL_TOL,
+         "max_rel_err_vs_oracle": max_rel}))
     _say(args, f"wrote {out / 'kernel.csv'} and {out / 'kernel.json'}")
     return 0
 
@@ -176,10 +167,11 @@ def _cmd_alpha(args) -> int:
            "lambda_q": coherence_length(sysp, bath),
            "regime_window_suggestion": [_jsonable(lo), _jsonable(hi)]}
     out = Path(args.out)
-    _write_json(out / "alpha.json", doc)
+    text = scenarios._json_text(doc)
+    scenarios._write_text(out / "alpha.json", text)
     _say(args, f"wrote {out / 'alpha.json'}")
     if not args.quiet:
-        print(json.dumps(doc, sort_keys=True, indent=2))
+        print(text, end="")
     return 0
 
 
@@ -194,8 +186,7 @@ def _cmd_evolve(args) -> int:
     dt = args.dt if args.dt is not None else evolution.suggest_timestep(
         sysp, bath, spec.separation, args.t_end)
     cfg = evolution.EvolveConfig(dt=dt, t_end=args.t_end,
-                                 record_every=args.record_every,
-                                 boundary=args.boundary)
+                                 record_every=args.record_every)
     result = evolution.evolve_full(rho0, sysp, bath, cfg, cat_spec=spec)
 
     out = Path(args.out)
@@ -270,10 +261,11 @@ def _cmd_fit(args) -> int:
     doc["delta_r_squared"] = sel.delta_r_squared
 
     out = Path(args.out)
-    _write_json(out / "fit.json", doc)
+    text = scenarios._json_text(doc)
+    scenarios._write_text(out / "fit.json", text)
     _say(args, f"wrote {out / 'fit.json'}")
     if not args.quiet:
-        print(json.dumps(doc, sort_keys=True, indent=2))
+        print(text, end="")
     return 0
 
 
@@ -289,8 +281,7 @@ def _cmd_scenario(args) -> int:
         if args.out != "qbm_out":
             cfg = scenarios.ScenarioConfig(scenario=cfg.scenario,
                                            params=cfg.params,
-                                           output_dir=args.out,
-                                           seed=cfg.seed)
+                                           output_dir=args.out)
     else:
         cfg = scenarios.ScenarioConfig(scenario=args.name,
                                        output_dir=args.out)
@@ -365,8 +356,6 @@ def _build_parser() -> argparse.ArgumentParser:
                         "suggest_timestep)")
     p.add_argument("--t-end", type=float, default=0.1)
     p.add_argument("--record-every", type=int, default=100)
-    p.add_argument("--boundary", default="dirichlet_zero",
-                   choices=evolution.BOUNDARIES)
     p.add_argument("--snapshots", action="store_true",
                    help="write binary grid snapshots at recorded steps")
     p.set_defaults(func=_cmd_evolve)

@@ -46,27 +46,24 @@ occupation factor coth(hbar w / 2 kT) and sinc(u) = sin(u)/u.  The
 
 ``auto`` picks closed_zero_T at kT = 0 and thermal_split above.  The
 literal time-domain nestings cost O((Lambda t)^2) and are unusable at
-Lambda*t ~ 1e5; they are kept as references for validation at small t.
+Lambda*t ~ 1e5; the tests keep them as references at small t.
 """
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
-from typing import Callable
+from dataclasses import dataclass
 
 import numpy as np
 
 from . import quadrature
-from .kernels import coth, noise_kernel_quadrature, noise_kernel_zero_T_closed
+from .kernels import _match_scalar, coth
 from .params import BathParams, SystemParams
 
 __all__ = [
-    "EULER_GAMMA", "METHODS", "CoefficientSet", "ExponentTrace",
-    "cosine_integral", "diffusion_coefficient", "diffusion_closed_zero_T",
-    "diffusion_zero_T_free", "diffusion_moments_zero_T_free",
-    "decoherence_exponent", "exponent_closed_zero_T",
-    "exponent_fubini_reference", "exponent_nested_reference",
-    "exponent_trace", "alpha_theory",
+    "EULER_GAMMA", "METHODS", "ExponentTrace", "diffusion_coefficient",
+    "diffusion_closed_zero_T", "diffusion_zero_T_free",
+    "diffusion_moments_zero_T_free", "decoherence_exponent",
+    "exponent_closed_zero_T", "exponent_trace", "alpha_theory",
 ]
 
 EULER_GAMMA = 0.5772156649015329
@@ -142,48 +139,6 @@ def _si_cin(x):
     si[~lo], ci = _sici_tail(xs)
     cin[~lo] = np.log(xs) + EULER_GAMMA - ci
     return np.sign(x) * si, cin
-
-
-def cosine_integral(x):
-    """Cosine integral Ci(x) for x > 0; scalar or array.
-
-    gamma_E + ln x - Cin(x) from the series for x <= 4, the oscillatory
-    form f(x) sin x - g(x) cos x above (see _sici_tail).
-    """
-    scalar = np.isscalar(x) or getattr(x, "ndim", 0) == 0
-    x = np.atleast_1d(np.asarray(x, dtype=float))
-    if np.any(x <= 0):
-        raise ValueError("cosine integral requires x > 0")
-    out = np.empty_like(x)
-    lo = x <= _CI_SPLIT
-    out[lo] = EULER_GAMMA + np.log(x[lo]) - _series(x[lo])[1]
-    out[~lo] = _sici_tail(x[~lo])[1]
-    return float(out[0]) if scalar else out
-
-
-def _match_scalar(t, out):
-    """out as a float when the times t were a scalar."""
-    if np.ndim(t) == 0:
-        return float(out)
-    return out
-
-
-def _kernel_times_cos(sys: SystemParams, bath: BathParams,
-                      abs_tol: float, rel_tol: float):
-    """Vectorized s -> nu(s) cos(Omega s); closed kernel at kT = 0,
-    per-sample quadrature otherwise.  Reference/validation path."""
-    omega0 = sys.frequency
-    if bath.kT == 0:
-        def f(s):
-            return noise_kernel_zero_T_closed(sys, bath, s) * np.cos(omega0 * s)
-    else:
-        def f(s):
-            nu = np.array([noise_kernel_quadrature(sys, bath, si,
-                                                   abs_tol=abs_tol,
-                                                   rel_tol=rel_tol)[0]
-                           for si in np.atleast_1d(s)])
-            return nu * np.cos(omega0 * np.atleast_1d(s))
-    return f
 
 
 def _thermal_weight(sys: SystemParams, bath: BathParams):
@@ -483,7 +438,7 @@ def diffusion_moments_zero_T_free(sys: SystemParams, bath: BathParams, t):
     k = 0
     while True:
         k += 1
-        # term_k = (-1)^k u^(2k) / (2k)!, as in cosine_integral
+        # term_k = (-1)^k u^(2k) / (2k)!, as in _series
         term = term * (-(us * us)) / ((2 * k - 1) * (2 * k))
         c0 = -term / (2 * k)
         c1 = c0 / (2 * k + 1)
@@ -494,7 +449,7 @@ def diffusion_moments_zero_T_free(sys: SystemParams, bath: BathParams, t):
     brackets[:, lo] = total
 
     ub = u[~lo]
-    cin = np.log(ub) + EULER_GAMMA - cosine_integral(ub)
+    cin = _si_cin(ub)[1]
     sinc = np.sin(ub) / ub
     brackets[0, ~lo] = cin
     brackets[1, ~lo] = cin - 1.0 + sinc
@@ -518,45 +473,6 @@ def decoherence_exponent(sys: SystemParams, bath: BathParams, t, *,
     """
     return _coefficient(exponent_closed_zero_T, _exponent_kernel, 1, sys,
                         bath, t, method, abs_tol, rel_tol)
-
-
-def exponent_fubini_reference(sys: SystemParams, bath: BathParams,
-                              t: float) -> float:
-    """Time-domain reference int_0^t (t - s) nu(s) cos(Omega s) ds with
-    nu(s) itself quadratured when kT > 0 (two genuinely nested levels).
-
-    Validation-only: the nesting costs O((Lambda t)^2) at kT > 0.
-    """
-    if t == 0:
-        return 0.0
-    inner = _kernel_times_cos(sys, bath, quadrature.ABS_TOL,
-                              quadrature.REL_TOL)
-
-    def f(s):
-        return (t - s) * inner(s)
-
-    width = np.pi / (bath.cutoff + sys.frequency)
-    value, _ = quadrature.integrate(f, 0.0, t, max_width=width)
-    return value
-
-
-def exponent_nested_reference(sys: SystemParams, bath: BathParams,
-                              t: float) -> float:
-    """Literal nested evaluation int_0^t D(t') dt' with D itself quadratured.
-
-    Validation-only: cost grows like (Lambda t)^2, so keep Lambda*t modest.
-    """
-    if t == 0:
-        return 0.0
-
-    def f(tp):
-        return np.array([diffusion_coefficient(sys, bath, x,
-                                               method="quadrature")
-                         for x in np.atleast_1d(tp)])
-
-    width = np.pi / (bath.cutoff + sys.frequency)
-    value, _ = quadrature.integrate(f, 0.0, t, max_width=width)
-    return value
 
 
 @dataclass(frozen=True)
@@ -596,34 +512,3 @@ def alpha_theory(sys: SystemParams, bath: BathParams, dx: float) -> float:
     if dx < 0:
         raise ValueError(f"dx must be >= 0, got {dx}")
     return 2.0 * sys.mass * bath.gamma * dx * dx / (np.pi * sys.hbar)
-
-
-def _zero(t):
-    return np.zeros_like(np.asarray(t, dtype=float)) \
-        if not np.isscalar(t) else 0.0
-
-
-@dataclass(frozen=True)
-class CoefficientSet:
-    """Evaluable master-equation coefficients.
-
-    Only the diffusion coefficient has a derived form here; dissipation,
-    anomalous diffusion and the frequency shift default to zero (their
-    explicit forms are never needed for the dephasing problem), but any
-    callable of t may be supplied for experimentation.
-    """
-    diffusion: Callable = field(default=_zero)
-    dissipation: Callable = field(default=_zero)
-    anomalous: Callable = field(default=_zero)
-    freq_shift: Callable = field(default=_zero)   # delta-Omega(t)^2
-
-    @classmethod
-    def for_params(cls, sys: SystemParams, bath: BathParams) -> "CoefficientSet":
-        """Diffusion by diffusion_coefficient's auto route (any kT, Omega)."""
-        return cls(diffusion=lambda t: diffusion_coefficient(sys, bath, t))
-
-    @classmethod
-    def zero_T_free(cls, sys: SystemParams, bath: BathParams) -> "CoefficientSet":
-        """Diffusion via the kT = 0 free-particle closed form (fast; exact
-        for frequency = 0)."""
-        return cls(diffusion=lambda t: diffusion_zero_T_free(sys, bath, t))

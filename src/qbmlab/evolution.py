@@ -41,9 +41,10 @@ from dataclasses import dataclass
 import numpy as np
 
 from .params import SystemParams, BathParams
-from .coefficients import (CoefficientSet, decoherence_exponent,
-                           diffusion_moments_zero_T_free,
-                           diffusion_zero_T_free, exponent_trace)
+from .coefficients import (decoherence_exponent,
+                           diffusion_moments_zero_T_free, exponent_trace)
+# unused here; bench/tracing.py wraps this name in this module
+from .coefficients import diffusion_zero_T_free  # noqa: F401
 
 __all__ = [
     "CatStateSpec", "DensityGrid", "EvolveConfig", "TermToggles",
@@ -51,7 +52,7 @@ __all__ = [
     "evolve_dephasing", "evolve_full", "free_cat_log_rho",
     "free_cat_log_visibility", "grid_trace", "hermiticity_residual",
     "purity", "min_eigenvalue_estimate", "suggest_timestep",
-    "write_snapshot", "read_snapshot", "sample_bilinear",
+    "write_snapshot", "read_snapshot",
 ]
 
 # Grid-resolution contract for initial states: the packet width must span
@@ -60,8 +61,6 @@ __all__ = [
 MIN_POINTS_PER_WIDTH = 8.0
 TAIL_WIDTHS = 12.0
 MIN_GRID_POINTS = 64
-
-BOUNDARIES = ("dirichlet_zero",)
 
 # suggest_timestep's accuracy rule.  The grid is checked against the exact
 # route until the cat's pure-dephasing visibility exp(-d^2 Theta / hbar)
@@ -122,7 +121,6 @@ class EvolveConfig:
     dt: float
     t_end: float
     record_every: int = 100
-    boundary: str = "dirichlet_zero"
 
     def __post_init__(self):
         if self.dt <= 0:
@@ -131,9 +129,6 @@ class EvolveConfig:
             raise ValueError(f"t_end must be > 0, got {self.t_end}")
         if self.record_every < 1:
             raise ValueError(f"record_every must be >= 1, got {self.record_every}")
-        if self.boundary not in BOUNDARIES:
-            raise ValueError(
-                f"unknown boundary {self.boundary!r}; options {BOUNDARIES}")
 
 
 @dataclass(frozen=True)
@@ -224,27 +219,15 @@ def evolve_dephasing(rho0: DensityGrid, sys: SystemParams, bath: BathParams,
                        values=rho0.values * factor, time=t0 + t)
 
 
-def _check_free_zero_T(sys: SystemParams, bath: BathParams,
-                       coeffs: CoefficientSet, t: np.ndarray) -> None:
+def _check_free_zero_T(sys: SystemParams, bath: BathParams) -> None:
     if sys.frequency != 0 or bath.kT != 0:
         raise ValueError("the exact route needs frequency = 0 and kT = 0, "
                          f"got frequency = {sys.frequency:g}, kT = {bath.kT:g}")
-    # one call per coefficient on the whole time array; a scalar return
-    # (a constant coefficient) stands for every time
-    for name in ("dissipation", "anomalous", "freq_shift"):
-        if np.any(np.broadcast_to(getattr(coeffs, name)(t), t.shape) != 0.0):
-            raise ValueError(f"the exact route needs {name} = 0: it solves "
-                             "the kinetic + diffusion equation only")
-    given = np.broadcast_to(coeffs.diffusion(t), t.shape)
-    if not np.allclose(given, diffusion_zero_T_free(sys, bath, t),
-                       rtol=1e-12, atol=0.0):
-        raise ValueError("the exact route needs the kT = 0 free-particle "
-                         "diffusion coefficient (CoefficientSet.zero_T_free)")
 
 
 def free_cat_log_rho(spec: CatStateSpec, sys: SystemParams,
-                     bath: BathParams, coeffs: CoefficientSet, x: float,
-                     xp: float, t) -> np.ndarray:
+                     bath: BathParams, x: float, xp: float,
+                     t) -> np.ndarray:
     """Complex ln rho(x, x', t) of the unit-trace cat state on the infinite
     line under the free kinetic + diffusion equation; 1-D t >= 0.
 
@@ -257,12 +240,10 @@ def free_cat_log_rho(spec: CatStateSpec, sys: SystemParams,
     is done in closed form.  The terms are summed by log-sum-exp, so the
     result stays exact where rho itself underflows.
 
-    Raises unless frequency = 0, kT = 0, ``coeffs.diffusion`` is the
-    zero_T_free closed form, and dissipation, anomalous and freq_shift
-    vanish at every t.
+    Raises unless frequency = 0 and kT = 0.
     """
     t = np.asarray(t, dtype=float)
-    _check_free_zero_T(sys, bath, coeffs, t)
+    _check_free_zero_T(sys, bath)
     moments = diffusion_moments_zero_T_free(sys, bath, t)
     return _free_cat_log_rho(spec, sys, moments, x, xp, t)
 
@@ -297,13 +278,12 @@ def _free_cat_log_rho(spec: CatStateSpec, sys: SystemParams,
 
 
 def free_cat_log_visibility(spec: CatStateSpec, sys: SystemParams,
-                            bath: BathParams, coeffs: CoefficientSet,
-                            t) -> np.ndarray:
+                            bath: BathParams, t) -> np.ndarray:
     """ln of the fringe visibility 2|rho(x+, x-)| / (rho(x+, x+) +
     rho(x-, x-)) at the packet centers, by the exact route of
     free_cat_log_rho (same conditions)."""
     t = np.asarray(t, dtype=float)
-    _check_free_zero_T(sys, bath, coeffs, t)
+    _check_free_zero_T(sys, bath)
     moments = diffusion_moments_zero_T_free(sys, bath, t)
     xp = spec.grid_center + 0.5 * spec.separation
     xm = spec.grid_center - 0.5 * spec.separation
@@ -338,32 +318,6 @@ def min_eigenvalue_estimate(rho: DensityGrid) -> float:
     master equations and is not an error."""
     herm = 0.5 * (rho.values + rho.values.conj().T)
     return float(np.linalg.eigvalsh(herm)[0] * rho.dx)
-
-
-def sample_bilinear(rho: DensityGrid, xa: float, xb: float) -> complex:
-    """Bilinearly interpolated rho(xa, xb); raises if the point is outside
-    the grid."""
-    return _sample(rho.values, rho.extent, xa, xb)
-
-
-def _sample(v: np.ndarray, extent: tuple[float, float], xa: float,
-            xb: float) -> complex:
-    lo, hi = extent
-    if not (lo <= xa <= hi and lo <= xb <= hi):
-        raise ValueError(
-            f"sample point ({xa:g}, {xb:g}) outside grid extent [{lo:g}, {hi:g}]")
-    n = v.shape[0]
-    dx = (hi - lo) / (n - 1)
-    fa = (xa - lo) / dx
-    fb = (xb - lo) / dx
-    ia = min(int(fa), n - 2)
-    ib = min(int(fb), n - 2)
-    wa = fa - ia
-    wb = fb - ib
-    return complex((1 - wa) * (1 - wb) * v[ia, ib]
-                   + wa * (1 - wb) * v[ia + 1, ib]
-                   + (1 - wa) * wb * v[ia, ib + 1]
-                   + wa * wb * v[ia + 1, ib + 1])
 
 
 def _dst_matrix(n: int) -> np.ndarray:

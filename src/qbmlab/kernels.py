@@ -25,7 +25,7 @@ from . import quadrature
 from .params import BathParams, SystemParams
 
 __all__ = [
-    "KernelTrace", "coth", "noise_kernel", "noise_kernel_zero_T_closed",
+    "KernelTrace", "coth", "noise_kernel_zero_T_closed",
     "noise_kernel_high_T_closed", "noise_kernel_quadrature", "kernel_trace",
 ]
 
@@ -59,6 +59,13 @@ class KernelTrace:
             raise ValueError("kernel values must be finite")
 
 
+def _match_scalar(t, out):
+    """out as a float when the sample point t was a scalar."""
+    if np.ndim(t) == 0:
+        return float(out)
+    return out
+
+
 def coth(x):
     """Elementwise coth with the small-argument Laurent form 1/x + x/3
     (avoids overflow of cosh/sinh ratios near zero)."""
@@ -89,9 +96,7 @@ def noise_kernel_zero_T_closed(sys: SystemParams, bath: BathParams, s):
     sb = s_arr[~small]
     ub = u[~small]
     out[~small] = pref * (lam * np.sin(ub) / sb + (np.cos(ub) - 1.0) / sb**2)
-    if np.isscalar(s) or getattr(s, "ndim", 0) == 0:
-        return float(out)
-    return out
+    return _match_scalar(s, out)
 
 
 def noise_kernel_high_T_closed(sys: SystemParams, bath: BathParams, s):
@@ -108,9 +113,7 @@ def noise_kernel_high_T_closed(sys: SystemParams, bath: BathParams, s):
     small = u < SERIES_CUT
     out[small] = pref * lam * (1.0 - u[small]**2 / 6.0)
     out[~small] = pref * np.sin(u[~small]) / s_arr[~small]
-    if np.isscalar(s) or getattr(s, "ndim", 0) == 0:
-        return float(out)
-    return out
+    return _match_scalar(s, out)
 
 
 def noise_kernel_quadrature(sys: SystemParams, bath: BathParams, s: float, *,
@@ -135,22 +138,6 @@ def noise_kernel_quadrature(sys: SystemParams, bath: BathParams, s: float, *,
     width = np.pi / (2.0 * s) if s > 0 else None
     return quadrature.integrate(f, 0.0, lam, max_width=width,
                                 abs_tol=abs_tol, rel_tol=rel_tol)
-
-
-def noise_kernel(sys: SystemParams, bath: BathParams, s: float, *,
-                 abs_tol: float = quadrature.ABS_TOL,
-                 rel_tol: float = quadrature.REL_TOL) -> float:
-    """Noise kernel at one time separation (even extension: nu(-s) = nu(s)).
-
-    kT = 0 dispatches to the closed form; kT > 0 runs the quadrature.
-    Quadrature non-convergence raises QuadratureError with the achieved
-    error estimate attached.
-    """
-    if bath.kT == 0:
-        return noise_kernel_zero_T_closed(sys, bath, abs(s))
-    value, _ = noise_kernel_quadrature(sys, bath, s,
-                                       abs_tol=abs_tol, rel_tol=rel_tol)
-    return value
 
 
 def kernel_trace(sys: SystemParams, bath: BathParams, s_grid,

@@ -18,8 +18,7 @@ import numpy as np
 
 from .params import (SystemParams, BathParams, coherence_length,
                      decoherence_time, derive_timescales, default_fit_window)
-from .coefficients import (CoefficientSet, alpha_theory, decoherence_exponent,
-                           exponent_trace)
+from .coefficients import alpha_theory, exponent_trace
 from .evolution import (RESOLVED_VISIBILITY, CatStateSpec, EvolveConfig,
                         TermToggles, evolve_dephasing, evolve_full,
                         free_cat_log_visibility, init_cat_state,
@@ -29,7 +28,7 @@ from .analysis import CoherenceTrace, _ols, fit_power_law, model_select
 __all__ = ["ScenarioConfig", "SCENARIOS", "load_config", "save_config",
            "run_scenario", "MANIFEST_VERSION"]
 
-MANIFEST_VERSION = "0.1.0"
+MANIFEST_VERSION = "0.2.0"
 
 SCENARIOS = ("zero_temperature", "high_temperature", "separation_sweep",
              "full_vs_dephasing")
@@ -78,7 +77,6 @@ class ScenarioConfig:
     scenario: str
     params: dict = field(default_factory=dict)
     output_dir: str = "qbm_out"
-    seed: int = 0   # reserved; every current scenario is deterministic
 
     def __post_init__(self):
         if self.scenario not in SCENARIOS:
@@ -102,8 +100,6 @@ class ScenarioConfig:
             elif not isinstance(value, (int, float)) or isinstance(value, bool):
                 raise ValueError(f"config key {key!r} must be a number, "
                                  f"got {value!r}")
-        if not isinstance(self.seed, int):
-            raise ValueError(f"seed must be an integer, got {self.seed!r}")
 
 
 def load_config(path) -> ScenarioConfig:
@@ -111,7 +107,7 @@ def load_config(path) -> ScenarioConfig:
         raw = json.load(fh)
     if not isinstance(raw, dict):
         raise ValueError("config must be a JSON object")
-    known = {"scenario", "params", "output_dir", "seed"}
+    known = {"scenario", "params", "output_dir"}
     for key in raw:
         if key not in known:
             raise ValueError(f"unknown config key {key!r}")
@@ -119,13 +115,12 @@ def load_config(path) -> ScenarioConfig:
         raise ValueError("config missing required key 'scenario'")
     return ScenarioConfig(scenario=raw["scenario"],
                           params=raw.get("params", {}),
-                          output_dir=raw.get("output_dir", "qbm_out"),
-                          seed=raw.get("seed", 0))
+                          output_dir=raw.get("output_dir", "qbm_out"))
 
 
 def save_config(cfg: ScenarioConfig, path) -> None:
     doc = {"scenario": cfg.scenario, "params": cfg.params,
-           "output_dir": cfg.output_dir, "seed": cfg.seed}
+           "output_dir": cfg.output_dir}
     with open(path, "w", encoding="utf-8") as fh:
         fh.write(json.dumps(doc, sort_keys=True, indent=2) + "\n")
 
@@ -177,8 +172,7 @@ def _emit_manifest(out_dir: Path, cfg: ScenarioConfig, resolved: dict,
                    fit: dict | None = None) -> dict:
     manifest = {
         "version": MANIFEST_VERSION,
-        "config_echo": {"scenario": cfg.scenario, "seed": cfg.seed,
-                        "params": resolved},
+        "config_echo": {"scenario": cfg.scenario, "params": resolved},
         "files": [{"path": rel, "sha256": _sha256(out_dir / rel)}
                   for rel in sorted(rel_files)],
         "checks": checks,
@@ -347,13 +341,11 @@ def _run_full_vs_dephasing(cfg: ScenarioConfig, out_dir: Path) -> dict:
     checks.append(_check("dephasing_match_max_norm", max_norm, 1e-6,
                          max_norm <= 1e-6))
 
-    # Grid-free exact route for the free particle at kT = 0, where the
-    # solver's Theta is that of the zero_T_free diffusion coefficient.
+    # Grid-free exact route for the free particle at kT = 0.
     log_vis_exact = dev = None
     if bath.kT == 0 and sysp.frequency == 0:
-        log_vis_exact = free_cat_log_visibility(
-            spec, sysp, bath, CoefficientSet.zero_T_free(sysp, bath),
-            result.times)
+        log_vis_exact = free_cat_log_visibility(spec, sysp, bath,
+                                                result.times)
         with np.errstate(divide="ignore"):
             dev = np.abs(np.expm1(np.log(result.visibility) - log_vis_exact))
         resolved = log_vis_exact >= math.log(GRID_EXACT_MIN_VISIBILITY)

@@ -1,0 +1,68 @@
+"""Time-domain references for the decoherence exponent, for the tests only.
+
+The literal nestings cost O((Lambda t)^2) and are unusable at
+Lambda*t ~ 1e5, so they check the production routes at small t.
+"""
+import numpy as np
+
+from qbmlab import quadrature
+from qbmlab.coefficients import diffusion_coefficient
+from qbmlab.kernels import noise_kernel_quadrature, noise_kernel_zero_T_closed
+from qbmlab.params import BathParams, SystemParams
+
+
+def _kernel_times_cos(sys: SystemParams, bath: BathParams,
+                      abs_tol: float, rel_tol: float):
+    """Vectorized s -> nu(s) cos(Omega s); closed kernel at kT = 0,
+    per-sample quadrature otherwise."""
+    omega0 = sys.frequency
+    if bath.kT == 0:
+        def f(s):
+            return noise_kernel_zero_T_closed(sys, bath, s) * np.cos(omega0 * s)
+    else:
+        def f(s):
+            nu = np.array([noise_kernel_quadrature(sys, bath, si,
+                                                   abs_tol=abs_tol,
+                                                   rel_tol=rel_tol)[0]
+                           for si in np.atleast_1d(s)])
+            return nu * np.cos(omega0 * np.atleast_1d(s))
+    return f
+
+
+def exponent_fubini_reference(sys: SystemParams, bath: BathParams,
+                              t: float) -> float:
+    """Time-domain reference int_0^t (t - s) nu(s) cos(Omega s) ds with
+    nu(s) itself quadratured when kT > 0 (two genuinely nested levels).
+
+    The nesting costs O((Lambda t)^2) at kT > 0.
+    """
+    if t == 0:
+        return 0.0
+    inner = _kernel_times_cos(sys, bath, quadrature.ABS_TOL,
+                              quadrature.REL_TOL)
+
+    def f(s):
+        return (t - s) * inner(s)
+
+    width = np.pi / (bath.cutoff + sys.frequency)
+    value, _ = quadrature.integrate(f, 0.0, t, max_width=width)
+    return value
+
+
+def exponent_nested_reference(sys: SystemParams, bath: BathParams,
+                              t: float) -> float:
+    """Literal nested evaluation int_0^t D(t') dt' with D itself quadratured.
+
+    The cost grows like (Lambda t)^2, so keep Lambda*t modest.
+    """
+    if t == 0:
+        return 0.0
+
+    def f(tp):
+        return np.array([diffusion_coefficient(sys, bath, x,
+                                               method="quadrature")
+                         for x in np.atleast_1d(tp)])
+
+    width = np.pi / (bath.cutoff + sys.frequency)
+    value, _ = quadrature.integrate(f, 0.0, t, max_width=width)
+    return value

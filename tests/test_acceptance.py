@@ -17,12 +17,12 @@ import scipy.integrate
 from qbmlab.params import (BathParams, SystemParams, decoherence_time,
                            default_fit_window, derive_timescales)
 from qbmlab.analysis import CoherenceTrace, fit_power_law, model_select
-from qbmlab.coefficients import (alpha_theory, exponent_nested_reference,
-                                 exponent_trace)
+from qbmlab.coefficients import alpha_theory, exponent_trace
 from qbmlab.evolution import (CatStateSpec, EvolveConfig, TermToggles,
                               evolve_full, init_cat_state)
 from qbmlab.kernels import kernel_trace
 from qbmlab.scenarios import ScenarioConfig, run_scenario
+from references import exponent_nested_reference
 
 SYS = SystemParams(mass=1.0, frequency=1e-4, hbar=1.0)
 COLD = BathParams(gamma=0.05, cutoff=200.0, kT=0.0)

@@ -1,4 +1,4 @@
-"""Diffusion coefficient, decoherence exponent, cosine integral."""
+"""Diffusion coefficient, decoherence exponent, Si and Cin."""
 import numpy as np
 import pytest
 import scipy.integrate
@@ -7,15 +7,13 @@ from hypothesis import given, settings, strategies as st
 
 from qbmlab import quadrature
 from qbmlab.params import BathParams, SystemParams
-from qbmlab.coefficients import (EULER_GAMMA, CoefficientSet, ExponentTrace,
+from qbmlab.coefficients import (EULER_GAMMA, ExponentTrace,
                                  _matsubara_free, _si_cin, alpha_theory,
-                                 cosine_integral, decoherence_exponent,
-                                 diffusion_coefficient,
+                                 decoherence_exponent, diffusion_coefficient,
                                  diffusion_moments_zero_T_free,
                                  diffusion_zero_T_free,
-                                 exponent_closed_zero_T,
-                                 exponent_fubini_reference,
-                                 exponent_nested_reference, exponent_trace)
+                                 exponent_closed_zero_T, exponent_trace)
+from references import exponent_fubini_reference, exponent_nested_reference
 
 SYS = SystemParams()                       # M = 1, hbar = 1, free particle
 SYS_W = SystemParams(frequency=1e-4)
@@ -23,28 +21,14 @@ BATH0 = BathParams(gamma=0.05, cutoff=200.0, kT=0.0)
 BATH_HOT = BathParams(gamma=0.1, cutoff=200.0, kT=50.0)
 
 
-# -------------------------------------------------------- cosine integral
-
-def test_ci_at_one():
-    assert cosine_integral(1.0) == pytest.approx(0.3374039229009681,
-                                                 rel=1e-12)
-
-
-def test_ci_vs_scipy_both_branches():
-    # Crosses the series/auxiliary-function split at x = 4.
-    for x in [1e-6, 1e-3, 0.1, 0.5, 1.0, 2.0, 3.9, 4.0, 4.1, 10.0,
-              100.0, 2000.0, 4e5]:
-        _, ci = scipy.special.sici(x)
-        assert cosine_integral(x) == pytest.approx(ci, rel=1e-11,
-                                                   abs=1e-13), f"x={x}"
-
+# ------------------------------------------------------------- Si and Cin
 
 def test_si_cin_vs_scipy_both_branches():
     # Si and Cin = gamma_E + ln x - Ci across the split at x = 4; Si is
     # odd and Cin even.  Below x = 1 the scipy form of Cin cancels, so
     # the reference there is the defining integral.
-    x = np.array([1e-6, 1e-3, 0.1, 0.5, 1.0, 2.0, 3.9, 4.0, 4.1, 10.0,
-                  100.0, 2000.0, 4e5])
+    x = np.array([1e-8, 1e-6, 1e-3, 0.1, 0.5, 0.7, 1.0, 2.0, 3.0, 3.9, 4.0,
+                  4.1, 8.0, 10.0, 100.0, 2000.0, 4e5, 1e6])
     si_ref, ci_ref = scipy.special.sici(x)
     cin_ref = EULER_GAMMA + np.log(x) - ci_ref
     for j in np.flatnonzero(x < 1.0):
@@ -57,33 +41,6 @@ def test_si_cin_vs_scipy_both_branches():
     si_neg, cin_neg = _si_cin(-x)
     assert np.array_equal(si_neg, -si) and np.array_equal(cin_neg, cin)
     assert np.array_equal(_si_cin(np.zeros(2))[0], np.zeros(2))
-
-
-def test_ci_small_x_logarithmic():
-    x = 1e-8
-    assert cosine_integral(x) == pytest.approx(EULER_GAMMA + np.log(x),
-                                               rel=1e-12)
-
-
-def test_ci_decays_at_infinity():
-    assert abs(cosine_integral(1e6)) < 2e-6
-
-
-def test_ci_rejects_nonpositive():
-    with pytest.raises(ValueError):
-        cosine_integral(0.0)
-    with pytest.raises(ValueError):
-        cosine_integral(-1.0)
-
-
-def test_ci_defining_integral_oracle():
-    # Ci(x) = gamma_E + ln x + int_0^x (cos u - 1)/u du
-    for x in [0.7, 3.0, 8.0]:
-        tail, _ = scipy.integrate.quad(
-            lambda u: (np.cos(u) - 1.0) / u if u > 1e-12 else 0.0,
-            0.0, x, limit=400)
-        assert cosine_integral(x) == pytest.approx(
-            EULER_GAMMA + np.log(x) + tail, rel=1e-9, abs=1e-12)
 
 
 # --------------------------------------------------- diffusion coefficient
@@ -535,25 +492,6 @@ def test_alpha_matches_exponent_slope():
     y = -dx * dx * theta / SYS.hbar
     slope = np.polyfit(np.log(t), y, 1)[0]
     assert -slope == pytest.approx(alpha_theory(SYS, BATH0, dx), rel=5e-3)
-
-
-# ----------------------------------------------------------- CoefficientSet
-
-def test_coefficient_set_defaults_zero():
-    cs = CoefficientSet.for_params(SYS_W, BATH_HOT)
-    for t in [0.0, 0.3, 2.0]:
-        assert cs.dissipation(t) == 0.0
-        assert cs.anomalous(t) == 0.0
-        assert cs.freq_shift(t) == 0.0
-    assert cs.diffusion(0.02) == pytest.approx(
-        diffusion_coefficient(SYS_W, BATH_HOT, 0.02), rel=1e-9)
-
-
-def test_coefficient_set_zero_T_free_uses_closed_form():
-    cs = CoefficientSet.zero_T_free(SYS, BATH0)
-    t = 0.37
-    assert cs.diffusion(t) == pytest.approx(
-        diffusion_zero_T_free(SYS, BATH0, t), rel=1e-12)
 
 
 @given(gamma=st.floats(1e-3, 10.0), c=st.floats(1.5, 5.0),

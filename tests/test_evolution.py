@@ -9,8 +9,7 @@ import scipy.optimize
 import scipy.special
 
 from qbmlab.params import BathParams, SystemParams
-from qbmlab.coefficients import (CoefficientSet, decoherence_exponent,
-                                 diffusion_zero_T_free)
+from qbmlab.coefficients import decoherence_exponent, diffusion_zero_T_free
 from qbmlab.evolution import (MIN_STEPS, RESOLVED_VISIBILITY,
                               STEPS_TO_RESOLVE, CatStateSpec, DensityGrid,
                               EvolveConfig, TermToggles, dephasing_factor,
@@ -18,8 +17,8 @@ from qbmlab.evolution import (MIN_STEPS, RESOLVED_VISIBILITY,
                               free_cat_log_rho, free_cat_log_visibility,
                               grid_trace, hermiticity_residual,
                               init_cat_state, min_eigenvalue_estimate,
-                              purity, read_snapshot, sample_bilinear,
-                              suggest_timestep, write_snapshot)
+                              purity, read_snapshot, suggest_timestep,
+                              write_snapshot)
 from qbmlab.evolution import (_dst_matrix, _half_blocks, _half_flow,
                               _half_grid, _half_work, _kinetic_flow,
                               _laplacian_eigenvalues, _mirror_symmetric,
@@ -129,22 +128,6 @@ def test_evolve_dephasing_composes():
 
 # ----------------------------------------------------------- observables
 
-def test_sample_bilinear_exact_on_bilinear_function():
-    n = 64
-    x = np.linspace(-1.0, 1.0, n)
-    vals = np.add.outer(2.0 * x, 3.0 * x).astype(complex)  # 2 x + 3 x'
-    rho = DensityGrid(n=n, extent=(-1.0, 1.0), values=vals, time=0.0)
-    got = sample_bilinear(rho, 0.123, -0.456)
-    assert got.real == pytest.approx(2 * 0.123 + 3 * (-0.456), rel=1e-12)
-
-
-def test_sample_bilinear_out_of_grid():
-    spec = CatStateSpec(separation=2.0, width=0.5)
-    rho = init_cat_state(spec, 160, 8.0)
-    with pytest.raises(ValueError):
-        sample_bilinear(rho, 10.0, 0.0)
-
-
 def test_visibility_degenerate_separation():
     spec = CatStateSpec(separation=0.0, width=0.5)
     rho = init_cat_state(spec, 160, 8.0)
@@ -245,50 +228,25 @@ def test_full_solver_conservation(oracle_run):
 def test_exact_route_matches_characteristics(oracle_run):
     # the grid nodes nearest the packet centers x+- stand in for x+-
     spec, rho0, _, exact = oracle_run
-    coeffs = CoefficientSet.zero_T_free(SYS, BATH)
     x = rho0.axis()
     ip = int(np.argmin(np.abs(x - 0.5 * spec.separation)))
     im = int(np.argmin(np.abs(x + 0.5 * spec.separation)))
     for i, j in ((ip, im), (ip, ip), (im, im)):
-        log_rho = free_cat_log_rho(spec, SYS, BATH, coeffs, x[i], x[j],
-                                   [0.1])
+        log_rho = free_cat_log_rho(spec, SYS, BATH, x[i], x[j], [0.1])
         assert np.exp(log_rho[0]) == pytest.approx(exact[i, j], rel=1e-10)
 
 
 def test_exact_route_rejects_other_dynamics():
     spec = CatStateSpec(separation=1.0, width=0.5)
     t = [0.05, 0.1]
-    coeffs = CoefficientSet.zero_T_free(SYS, BATH)
     bound = SystemParams(frequency=0.5)
-    with pytest.raises(ValueError, match="frequency"):
-        free_cat_log_visibility(spec, bound, BATH, coeffs, t)
-    damped = CoefficientSet(diffusion=coeffs.diffusion,
-                            dissipation=lambda s: 0.3)
-    with pytest.raises(ValueError, match="dissipation"):
-        free_cat_log_visibility(spec, SYS, BATH, damped, t)
-    with pytest.raises(ValueError, match="dissipation"):
-        free_cat_log_rho(spec, SYS, BATH, damped, 0.5, -0.5, t)
-
-
-def test_exact_route_calls_each_coefficient_once():
-    # every coefficient is called once, on the whole time array
-    t = np.linspace(0.01, 0.1, 17)
-    closed = CoefficientSet.zero_T_free(SYS, BATH)
-    calls = []
-
-    def counted(f):
-        def wrapped(s):
-            calls.append(np.shape(s))
-            return f(s)
-        return wrapped
-
-    coeffs = CoefficientSet(diffusion=counted(closed.diffusion),
-                            dissipation=counted(closed.dissipation),
-                            anomalous=counted(closed.anomalous),
-                            freq_shift=counted(lambda s: 0.0))
-    free_cat_log_visibility(CatStateSpec(separation=1.0, width=0.5), SYS,
-                            BATH, coeffs, t)
-    assert calls == [t.shape] * 4
+    with pytest.raises(ValueError, match="frequency = 0.5"):
+        free_cat_log_visibility(spec, bound, BATH, t)
+    warm = BathParams(gamma=BATH.gamma, cutoff=BATH.cutoff, kT=0.3)
+    with pytest.raises(ValueError, match="kT = 0.3"):
+        free_cat_log_visibility(spec, SYS, warm, t)
+    with pytest.raises(ValueError, match="kT = 0.3"):
+        free_cat_log_rho(spec, SYS, warm, 0.5, -0.5, t)
 
 
 def test_diffusion_only_run_matches_dephasing_closed_form():
@@ -609,9 +567,7 @@ def test_full_solver_probe_matches_exact_route(oracle_run):
     # at dt = 2e-4 the run's worst deviation from the exact route over
     # every recorded time is 1.28e-4, the grid's spatial error
     spec, _, result, _ = oracle_run
-    coeffs = CoefficientSet.zero_T_free(SYS, BATH)
-    exact = np.exp(free_cat_log_visibility(spec, SYS, BATH, coeffs,
-                                           result.times))
+    exact = np.exp(free_cat_log_visibility(spec, SYS, BATH, result.times))
     assert np.max(np.abs(result.visibility / exact - 1.0)) <= 2e-4
 
 
@@ -654,8 +610,7 @@ def test_step_far_beyond_old_cfl_bound_matches_exact(fine_grid_case):
     assert len(run.times) == 4
     assert np.all(np.isfinite(run.final.values))
     assert _column_error(run, cols, exact) <= 2e-3
-    coeffs = CoefficientSet.zero_T_free(SYS, BATH)
-    vis = np.exp(free_cat_log_visibility(spec, SYS, BATH, coeffs, [0.05]))
+    vis = np.exp(free_cat_log_visibility(spec, SYS, BATH, [0.05]))
     assert run.visibility[-1] == pytest.approx(vis[0], rel=5e-3)
 
 
@@ -710,8 +665,6 @@ def test_evolve_config_validation():
         EvolveConfig(dt=0.1, t_end=0.0)
     with pytest.raises(ValueError):
         EvolveConfig(dt=0.1, t_end=1.0, record_every=0)
-    with pytest.raises(ValueError):
-        EvolveConfig(dt=0.1, t_end=1.0, boundary="periodic")
 
 
 def test_snapshot_roundtrip(tmp_path):

@@ -5,7 +5,7 @@ import scipy.integrate
 from hypothesis import given, settings, strategies as st
 
 from qbmlab.params import BathParams, SystemParams
-from qbmlab.kernels import (KernelTrace, coth, kernel_trace, noise_kernel,
+from qbmlab.kernels import (KernelTrace, coth, kernel_trace,
                             noise_kernel_high_T_closed,
                             noise_kernel_quadrature,
                             noise_kernel_zero_T_closed)
@@ -135,15 +135,6 @@ def test_quadrature_error_estimate_bounds_truth_at_zero_T():
         val, err = noise_kernel_quadrature(SYS, BATH0, s)
         truth = noise_kernel_zero_T_closed(SYS, BATH0, s)
         assert abs(val - truth) <= max(10 * err, 1e-10)
-
-
-def test_noise_kernel_dispatch():
-    # kT = 0 goes closed, kT > 0 goes quadrature; both single floats.
-    assert noise_kernel(SYS, BATH0, 0.01) == pytest.approx(
-        noise_kernel_zero_T_closed(SYS, BATH0, 0.01), rel=1e-14)
-    bath = BathParams(gamma=0.1, cutoff=200.0, kT=50.0)
-    assert noise_kernel(SYS, bath, 0.01) == pytest.approx(
-        noise_kernel_quadrature(SYS, bath, 0.01)[0], rel=1e-14)
 
 
 # ------------------------------------------------------------- trace + misc

@@ -23,7 +23,7 @@ BATH = BathParams(gamma=0.05, cutoff=200.0, kT=0.0)
 def test_config_roundtrip_is_byte_identical(tmp_path):
     cfg = ScenarioConfig(scenario="zero_temperature",
                          params={"gamma": 0.07, "separation": 1.5},
-                         output_dir="someplace", seed=3)
+                         output_dir="someplace")
     p1, p2 = tmp_path / "a.json", tmp_path / "b.json"
     save_config(cfg, p1)
     back = load_config(p1)
