@@ -18,10 +18,9 @@ from .coefficients import (ExponentTrace, alpha_theory, diffusion_coefficient,
                            diffusion_moments_zero_T_free, decoherence_exponent,
                            exponent_closed_zero_T, exponent_trace)
 from .evolution import (CatStateSpec, DensityGrid, EvolveConfig, TermToggles,
-                        EvolutionResult, init_cat_state, dephasing_factor,
-                        evolve_dephasing, evolve_full, free_cat_log_rho,
+                        EvolutionResult, init_cat_state, evolve_dephasing,
+                        evolve_full, free_cat_log_rho,
                         free_cat_log_visibility, suggest_timestep,
-                        grid_trace, hermiticity_residual, purity,
                         write_snapshot, read_snapshot)
 from .analysis import (CoherenceTrace, PowerLawFit, ExponentialFit,
                        ModelSelection, fringe_visibility, fit_power_law,
@@ -42,10 +41,9 @@ __all__ = [
     "diffusion_moments_zero_T_free", "decoherence_exponent",
     "exponent_closed_zero_T", "exponent_trace",
     "CatStateSpec", "DensityGrid", "EvolveConfig", "TermToggles",
-    "EvolutionResult", "init_cat_state", "dephasing_factor",
-    "evolve_dephasing", "evolve_full", "free_cat_log_rho",
-    "free_cat_log_visibility", "suggest_timestep", "grid_trace",
-    "hermiticity_residual", "purity", "write_snapshot", "read_snapshot",
+    "EvolutionResult", "init_cat_state", "evolve_dephasing", "evolve_full",
+    "free_cat_log_rho", "free_cat_log_visibility", "suggest_timestep",
+    "write_snapshot", "read_snapshot",
     "CoherenceTrace", "PowerLawFit", "ExponentialFit", "ModelSelection",
     "fringe_visibility", "fit_power_law", "fit_exponential", "model_select",
     "ScenarioConfig", "SCENARIOS", "load_config", "save_config",

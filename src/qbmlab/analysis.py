@@ -8,7 +8,6 @@ just compares the two r^2 values.
 """
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np

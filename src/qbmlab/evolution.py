@@ -17,11 +17,12 @@ Two evolution paths:
   potential and diffusion terms act elementwise, and the kinetic term is
   diagonal in the DST-I basis.  The kinetic flow is applied in the
   grid's mirror-parity basis, where it splits into two half-size blocks.
-  A run whose state is mirror-symmetric, such as a cat centred on its
-  grid, holds only the state's top half: its kinetic flow is four
-  (n/2)^3 products, every other substep and diagnostic reads n/2 rows,
-  and the full grid is built only for snapshots.  No step allocates a
-  full grid.  Individual terms can be toggled off (``TermToggles``) to
+  A run whose state is Hermitian and mirror-symmetric, such as a cat
+  centred on its grid, holds the top half of one real matrix,
+  Re rho + Im rho: its kinetic flow is eight real (n/2)^3 products,
+  every other substep and diagnostic reads n/2 real rows, and the
+  complex grid is built only for snapshots.  No step allocates a full
+  grid.  Individual terms can be toggled off (``TermToggles``) to
   compare limits against closed forms.
 
 A grid-free exact route covers the free particle at kT = 0 with only the
@@ -48,11 +49,9 @@ from .coefficients import diffusion_zero_T_free  # noqa: F401
 
 __all__ = [
     "CatStateSpec", "DensityGrid", "EvolveConfig", "TermToggles",
-    "EvolutionResult", "init_cat_state", "dephasing_factor",
-    "evolve_dephasing", "evolve_full", "free_cat_log_rho",
-    "free_cat_log_visibility", "grid_trace", "hermiticity_residual",
-    "purity", "min_eigenvalue_estimate", "suggest_timestep",
-    "write_snapshot", "read_snapshot",
+    "EvolutionResult", "init_cat_state", "evolve_dephasing", "evolve_full",
+    "free_cat_log_rho", "free_cat_log_visibility", "min_eigenvalue_estimate",
+    "suggest_timestep", "write_snapshot", "read_snapshot",
 ]
 
 # Grid-resolution contract for initial states: the packet width must span
@@ -186,17 +185,6 @@ def init_cat_state(spec: CatStateSpec, n: int, extent: float) -> DensityGrid:
                        values=values, time=0.0)
 
 
-def dephasing_factor(sys: SystemParams, bath: BathParams, dx: float,
-                     t: float) -> float:
-    """exp(-dx^2 * Theta(t) / hbar); 1 at t = 0 or dx = 0."""
-    if t < 0:
-        raise ValueError(f"t must be >= 0, got {t}")
-    if dx == 0.0 or t == 0.0:
-        return 1.0
-    theta = decoherence_exponent(sys, bath, t)
-    return math.exp(-dx * dx * theta / sys.hbar)
-
-
 def evolve_dephasing(rho0: DensityGrid, sys: SystemParams, bath: BathParams,
                      t: float) -> DensityGrid:
     """Advance by duration t under pure dephasing: elementwise scaling by
@@ -295,23 +283,6 @@ def free_cat_log_visibility(spec: CatStateSpec, sys: SystemParams,
             - np.logaddexp(log_abs(xp, xp), log_abs(xm, xm)))
 
 
-def grid_trace(rho: DensityGrid) -> float:
-    return float(np.sum(rho.values.diagonal().real) * rho.dx)
-
-
-def hermiticity_residual(rho: DensityGrid) -> float:
-    """max |rho - rho^H|, with one complex temporary: rho^T is copied,
-    then conjugated and subtracted in place."""
-    diff = rho.values.T.copy()
-    np.conjugate(diff, out=diff)
-    np.subtract(rho.values, diff, out=diff)
-    return float(np.max(np.abs(diff)))
-
-
-def purity(rho: DensityGrid) -> float:
-    return float(np.sum(np.abs(rho.values) ** 2) * rho.dx * rho.dx)
-
-
 def min_eigenvalue_estimate(rho: DensityGrid) -> float:
     """Smallest eigenvalue of the (symmetrized) kernel rho(x,x') dx.
     Diagnostic only: transient negativity is expected for this family of
@@ -361,9 +332,11 @@ def _parity_blocks(s: np.ndarray, e: np.ndarray) -> tuple:
     complex-symmetric.  Returns (V+, V-, conj V+, conj V-)."""
     n = s.shape[0]
     h, m = n // 2, n - n // 2
-    even, odd = s[:m, 0::2], s[:h, 1::2]
-    vp = (even * e[0::2]) @ even.T
-    vm = (odd * e[1::2]) @ odd.T
+
+    def block(b, p):    # two real products, not one complex by real
+        return (b * p.real) @ b.T + 1j * ((b * p.imag) @ b.T)
+
+    vp, vm = block(s[:m, 0::2], e[0::2]), block(s[:h, 1::2], e[1::2])
     return vp, vm, vp.conj(), vm.conj()
 
 
@@ -413,46 +386,61 @@ def _mirror_symmetric(v: np.ndarray) -> bool:
     return bool(np.array_equal(v, np.flip(v)))
 
 
-def _half_blocks(blocks: tuple) -> tuple:
-    """_parity_blocks' (V+, V-, conj V+, conj V-) pre-scaled for _half_flow:
-    V+ with its first n//2 columns doubled, and 2 V-."""
-    vp, vm, vp_conj, vm_conj = blocks
-    h = vm.shape[0]
-    scaled = vp.copy()
-    scaled[:, :h] *= 2.0
-    return scaled, 2.0 * vm, vp_conj, vm_conj
+def _half_blocks(s: np.ndarray, theta: np.ndarray) -> tuple:
+    """_half_flow's (B, L, cos, sin) per parity block: the real modes B
+    (S[:m, 0::2], then S[:h, 1::2]), L = B^T scaled for the row fold
+    (by diag(2, .., 2, 1), then 2), and cos and sin of theta_j - theta_k
+    over the block's modes, theta the phase of _parity_blocks' e."""
+    n = s.shape[0]
+    h, m = n // 2, n - n // 2
+    fold = np.full(m, 2.0)
+    fold[h:] = 1.0
+    blocks = []
+    for b, scale, t in ((s[:m, 0::2], fold, theta[0::2]),
+                        (s[:h, 1::2], 2.0, theta[1::2])):
+        b = np.ascontiguousarray(b)
+        diff = np.subtract.outer(t, t)
+        blocks.append((b, np.ascontiguousarray(b.T * scale), np.cos(diff),
+                       np.sin(diff)))
+    return tuple(blocks)
 
 
 def _half_flow(top: np.ndarray, work: tuple, blocks: tuple) -> None:
-    """top <- the top rows of U rho U^H, in place, for a mirror-symmetric
-    rho = J rho J held as its top m = n - n//2 rows; blocks come from
-    _half_blocks, and work holds two (m, m) and two (h, h) complex arrays,
-    h = n//2, which are overwritten.
+    """top <- the top rows of pack(U rho U^H), in place, for a Hermitian
+    rho = J rho J held as the top m = n - n//2 rows of the real
+    Q = pack(rho) = Re rho + Im rho; blocks come from _half_blocks, and
+    work holds two (m, m) and two (h, h) real arrays, h = n//2, which are
+    overwritten.  pack commutes with every real linear map.
 
     U rho U^H = P^T V R conj(V) P with R = P rho P^T (_parity_blocks).
     With C = rho P^T, the column fold of rho, J rho J = rho gives
     C[n-1-i] = C[i] S, with S = +1 on the even and -1 on the odd columns.
     So R's cross-parity blocks vanish, and R++ = diag(2, .., 2, 1) C++,
     R-- = 2 C[:h, m:], both from the top rows alone (the 1 is the middle
-    row when n is odd); the 2s are folded into the blocks.  Then
-    X+ = V+ R++ conj(V+) and X- = V- R-- conj(V-) are four half-size
-    products, and the top rows of P^T X P are the column unfold of
-    [X+ | X-] (for odd n, the middle row of X+ alone).  The rebuilt rho
-    is exactly mirror-symmetric."""
+    row when n is odd); the 2s are folded into L.  Per block,
+    X = V R conj(V) = B (G o Phi) B^T with the Hermitian G = L C B,
+    Phi_jk = exp(i (theta_j - theta_k)) and pack(G o Phi) =
+    pack(G) o cos + pack(G)^T o sin.  The top rows of P^T X P are the
+    column unfold of [X+ | X-] (for odd n, the middle row of X+ alone).
+    The rebuilt Q is exactly mirror-symmetric."""
     n = top.shape[1]
     h = n // 2
     m = n - h
-    vp, vm, vp_conj, vm_conj = blocks
     even, odd, even_tmp, odd_tmp = work
     mirror = top[:, ::-1]
     np.add(top[:, :h], mirror[:, :h], out=even[:, :h])
     np.subtract(top[:h, :h], mirror[:h, :h], out=odd)
     if m > h:
         even[:, h] = top[:, h]
-    np.matmul(vp, even, out=even_tmp)
-    np.matmul(even_tmp, vp_conj, out=even)
-    np.matmul(vm, odd, out=odd_tmp)
-    np.matmul(odd_tmp, vm_conj, out=odd)
+    for g, tmp, (b, left, cos, sin) in zip((even, odd), (even_tmp, odd_tmp),
+                                           blocks):
+        np.matmul(left, g, out=tmp)
+        np.matmul(tmp, b, out=g)
+        np.multiply(g.T, sin, out=tmp)
+        np.multiply(g, cos, out=g)
+        np.add(g, tmp, out=g)
+        np.matmul(b, g, out=tmp)
+        np.matmul(tmp, b.T, out=g)
     np.add(even[:h, :h], odd, out=top[:h, :h])
     np.subtract(even[:h, :h], odd, out=mirror[:h, :h])
     if m > h:
@@ -463,55 +451,45 @@ def _half_flow(top: np.ndarray, work: tuple, blocks: tuple) -> None:
 def _half_work(n: int) -> tuple:
     """The work arrays of _half_flow on an (n, n) grid."""
     h, m = n // 2, n - n // 2
-    return (np.empty((m, m), dtype=complex), np.empty((h, h), dtype=complex),
-            np.empty((m, m), dtype=complex), np.empty((h, h), dtype=complex))
+    return (np.empty((m, m)), np.empty((h, h)), np.empty((m, m)),
+            np.empty((h, h)))
 
 
 def _half_bottom(top: np.ndarray) -> np.ndarray:
-    """The bottom n//2 rows of rho = J rho J, as a view of its top rows."""
+    """The bottom n//2 rows of v = J v J, as a view of its top rows."""
     return top[:top.shape[1] // 2][::-1, ::-1]
 
 
 def _half_grid(top: np.ndarray) -> np.ndarray:
-    """The full (n, n) grid of rho = J rho J from its top rows."""
+    """The exactly Hermitian (n, n) grid (Q + Q^T)/2 + i (Q - Q^T)/2 of a
+    packed state (_half_flow) from Q's top rows."""
     n, m = top.shape[1], top.shape[0]
-    full = np.empty((n, n), dtype=complex)
-    full[:m] = top
-    full[m:] = _half_bottom(top)
-    return full
+    rho = np.empty((n, n), dtype=complex)
+    im = rho.imag               # Q/2 first, without a real temporary
+    np.multiply(top, 0.5, out=im[:m])
+    im[m:] = _half_bottom(im[:m])
+    np.add(im, im.T, out=rho.real)
+    np.subtract(im, im.T, out=im)
+    return rho
 
 
 def _half_trace(top: np.ndarray) -> float:
-    """Sum of rho's diagonal (real part) from its top rows: each row but
-    the middle one (odd n) stands for its mirror row too."""
-    d = top.diagonal().real
+    """Sum of the real diagonal of v = J v J from its top rows: each row
+    but the middle one (odd n) stands for its mirror row too."""
+    d = top.diagonal()
     h = top.shape[1] // 2
     return float(2.0 * np.sum(d[:h]) + np.sum(d[h:]))
 
 
 def _half_norm2(top: np.ndarray) -> float:
-    """Sum of |rho|^2 from its top rows, counted as in _half_trace."""
+    """Sum of |v|^2 from its top rows, counted as in _half_trace."""
     h = top.shape[1] // 2
-    return float(2.0 * np.vdot(top[:h], top[:h]).real
-                 + np.vdot(top[h:], top[h:]).real)
-
-
-def _half_residual(top: np.ndarray, buf: np.ndarray,
-                   work: np.ndarray) -> float:
-    """max |rho - rho^H| from rho's top rows; rho - rho^H is itself
-    mirror-symmetric, so its top rows hold its maximum.  buf (complex)
-    and work (real) have top's shape and are overwritten."""
-    m = top.shape[0]
-    # the top rows of rho^T are those of rho's first m columns, transposed
-    np.copyto(buf[:, :m], top[:, :m].T)
-    np.copyto(buf[:, m:], _half_bottom(top)[:, :m].T)
-    np.conjugate(buf, out=buf)
-    np.subtract(top, buf, out=buf)
-    return float(np.abs(buf, out=work).max())
+    return float(2.0 * np.vdot(top[:h], top[:h])
+                 + np.vdot(top[h:], top[h:]))
 
 
 def _half_matvec(top: np.ndarray, w: np.ndarray) -> np.ndarray:
-    """rho @ w from rho's top rows: [top @ w ; reverse(top[:h] @ w[::-1])]."""
+    """v @ w from v's top rows: [top @ w ; reverse(top[:h] @ w[::-1])]."""
     h = top.shape[1] // 2
     return np.concatenate((top @ w, (top[:h] @ w[::-1])[::-1]))
 
@@ -545,15 +523,20 @@ def _cat_probe(s: np.ndarray, extent: tuple[float, float],
             _sine_weights(s, extent, spec.grid_center - 0.5 * spec.separation))
 
 
-def _probe_visibility(apply, probe) -> float:
+def _probe_visibility(apply, probe, packed: bool = False) -> float:
     """2|rho(x+, x-)| / (rho(x+, x+) + rho(x-, x-)) at the weights of
     _cat_probe, of the state whose product with a vector w is apply(w); so
-    the solver can probe its live arrays."""
+    the solver can probe its live arrays.  When packed, apply is Q's
+    (_half_flow): w.Q w = w.rho w, and |rho(x+, x-)| = sqrt((a^2 + b^2)/2)
+    with a = w+.Q w- and b = w-.Q w+."""
     if probe is None:
         return 1.0
     wp, wm = probe
     vp, vm = apply(wp), apply(wm)
-    return 2.0 * abs(wp @ vm) / ((wp @ vp).real + (wm @ vm).real)
+    cross = abs(wp @ vm)
+    if packed:
+        cross = math.hypot(cross, wm @ vp) * math.sqrt(0.5)
+    return 2.0 * cross / ((wp @ vp).real + (wm @ vm).real)
 
 
 def _visibility(v: np.ndarray, extent: tuple[float, float],
@@ -619,16 +602,17 @@ def evolve_full(rho0: DensityGrid, sys: SystemParams, bath: BathParams,
       two complex-symmetric blocks of half size (_parity_blocks): four
       (n/2, n/2, n) products per step in place of two (n, n, n) ones.
 
-    Whether the run is mirror-symmetric is decided once: when rho0 equals
-    J rho0 J exactly (J the mirror x_i <-> x_{n-1-i}), as a cat centred
-    on its grid does, and the potential, if on, is mirror-symmetric too,
-    every substep keeps rho = J rho J.  Such a run holds only rho's top
-    n - n//2 rows: K is four (n/2)^3 products on their column fold
-    (_half_flow), D multiplies them by the factor's top rows, and the
-    diagnostics come from them by the mirror identities.  The full grid
-    is built only for snapshots.  The result's ``mirror_steps`` counts
-    the kinetic substeps taken that way.  Any other state runs the full
-    grid.
+    The path is decided once: when rho0 equals J rho0 J (J the mirror
+    x_i <-> x_{n-1-i}) and rho0^H exactly, as a centred cat does, and the
+    potential, if on, is mirror-symmetric too, every substep keeps both.
+    Such a run holds the top n - n//2 rows of the real Q = Re rho + Im rho
+    (Re rho = (Q + Q^T)/2, Im rho = (Q - Q^T)/2): K is eight real
+    (n/2)^3 products (_half_flow), D multiplies by the real diffusion
+    factor, or by the Hermitian f as Q o Re f + Q^T o Im f, the trace is
+    Q's diagonal and the purity the sum of Q^2.  The hermiticity residual
+    is 0 by construction, recorded and not computed.  Only snapshots
+    unpack to the complex grid.  ``mirror_steps`` counts the kinetic
+    substeps taken that way.  Any other state runs the full grid.
 
     Every substep and diagnostic works in place in a fixed set of arrays.
     Scalar diagnostics (trace, hermiticity residual, purity, visibility
@@ -666,8 +650,9 @@ def evolve_full(rho0: DensityGrid, sys: SystemParams, bath: BathParams,
         x = 0.5 * (rho0.extent[0] + rho0.extent[1]) \
             + (np.arange(n) - 0.5 * (n - 1)) * dx
         x2 = x * x
-    half = _mirror_symmetric(rho0.values) and (
-        x2 is None or _mirror_symmetric(x2))
+    v = rho0.values
+    half = (_mirror_symmetric(v) and np.array_equal(v, v.conj().T)
+            and (x2 is None or _mirror_symmetric(x2)))
     rows = n - n // 2 if half else n
     # -(x_i - x_j)^2 / hbar depends on i - j alone: a (2n - 1)-line, read
     # as an (n, n) Toeplitz view, exactly symmetric in i - j
@@ -687,9 +672,9 @@ def evolve_full(rho0: DensityGrid, sys: SystemParams, bath: BathParams,
         lam = _laplacian_eigenvalues(n, dx)
 
         def propagator(h: float):
-            blocks = _parity_blocks(
-                s, np.exp((0.5j * sys.hbar * h / sys.mass) * lam))
-            return _half_blocks(blocks) if half else blocks
+            theta = (0.5 * sys.hbar * h / sys.mass) * lam
+            return (_half_blocks(s, theta) if half
+                    else _parity_blocks(s, np.exp(1j * theta)))
 
         kinetic = [propagator(cfg.dt)] * n_steps
         # t_end - (n_steps - 1) dt is off dt by rounding alone when
@@ -699,9 +684,11 @@ def evolve_full(rho0: DensityGrid, sys: SystemParams, bath: BathParams,
             kinetic[-1] = propagator(h_last)
 
     # the step's work arrays; no substep or record allocates a full grid
-    rho = rho0.values[:rows].copy()
+    rho = v[:rows].real + v[:rows].imag if half else v.copy()
     buf = np.empty_like(rho)
     work = np.empty(rho.shape)
+    # the potential's complex factor; buf on the full grid
+    f = np.empty(rho.shape, complex) if half and x2 is not None else buf
     if not terms.kinetic:
         flow = None
     elif half:
@@ -717,16 +704,25 @@ def evolve_full(rho0: DensityGrid, sys: SystemParams, bath: BathParams,
 
     def dephase(j: int) -> None:
         if potential is not None:
-            np.multiply(potential, dt_half[j], out=buf)
+            np.multiply(potential, dt_half[j], out=f)
             np.multiply(neg_q2, d_theta[j], out=work)
-            np.add(work, buf, out=buf)
-            np.exp(buf, out=buf)
-            np.multiply(rho, buf, out=rho)
+            np.add(work, f, out=f)
+            np.exp(f, out=f)
+            if half:
+                # f is Hermitian: rho o f packs to Q o Re f + Q^T o Im f,
+                # Q^T's top rows read through the mirror
+                np.copyto(work[:, :rows], rho[:, :rows].T)
+                np.copyto(work[:, rows:], _half_bottom(rho)[:, :rows].T)
+                np.multiply(work, f.imag, out=work)
+                np.multiply(rho, f.real, out=rho)
+                np.add(rho, work, out=rho)
+            else:
+                np.multiply(rho, f, out=rho)
         elif d_theta[j] != 0.0:
             np.multiply(neg_q2_line, d_theta[j], out=factor_line)
             np.exp(factor_line, out=factor_line)
-            # a ufunc would buffer the strided real view; a contiguous
-            # complex copy multiplies to the same bits without that
+            # a ufunc would buffer the strided view; a contiguous copy
+            # multiplies to the same bits without that
             np.copyto(buf, factor)
             np.multiply(rho, buf, out=rho)
 
@@ -741,10 +737,11 @@ def evolve_full(rho0: DensityGrid, sys: SystemParams, bath: BathParams,
             visibilities.append(math.nan)
         elif half:
             traces.append(_half_trace(rho) * dx)
-            residuals.append(_half_residual(rho, buf, work))
+            residuals.append(0.0)
             visibilities.append(math.nan if cat_spec is None else
                                 _probe_visibility(
-                                    lambda w: _half_matvec(rho, w), probe))
+                                    lambda w: _half_matvec(rho, w), probe,
+                                    packed=True))
         else:
             traces.append(float(np.sum(rho.diagonal().real) * dx))
             # copied first: conjugating the transposed view would buffer it

@@ -1,12 +1,17 @@
-"""Time-domain references for the decoherence exponent, for the tests only.
+"""References for the tests only.
 
-The literal nestings cost O((Lambda t)^2) and are unusable at
-Lambda*t ~ 1e5, so they check the production routes at small t.
+Time-domain references for the decoherence exponent: the literal
+nestings cost O((Lambda t)^2) and are unusable at Lambda*t ~ 1e5, so they
+check the production routes at small t.  Full-grid diagnostics and the
+pure-dephasing factor, the references of the solver's per-step scalars.
 """
+import math
+
 import numpy as np
 
 from qbmlab import quadrature
-from qbmlab.coefficients import diffusion_coefficient
+from qbmlab.coefficients import decoherence_exponent, diffusion_coefficient
+from qbmlab.evolution import DensityGrid
 from qbmlab.kernels import noise_kernel_quadrature, noise_kernel_zero_T_closed
 from qbmlab.params import BathParams, SystemParams
 
@@ -66,3 +71,31 @@ def exponent_nested_reference(sys: SystemParams, bath: BathParams,
     width = np.pi / (bath.cutoff + sys.frequency)
     value, _ = quadrature.integrate(f, 0.0, t, max_width=width)
     return value
+
+
+def dephasing_factor(sys: SystemParams, bath: BathParams, dx: float,
+                     t: float) -> float:
+    """exp(-dx^2 * Theta(t) / hbar); 1 at t = 0 or dx = 0."""
+    if t < 0:
+        raise ValueError(f"t must be >= 0, got {t}")
+    if dx == 0.0 or t == 0.0:
+        return 1.0
+    theta = decoherence_exponent(sys, bath, t)
+    return math.exp(-dx * dx * theta / sys.hbar)
+
+
+def grid_trace(rho: DensityGrid) -> float:
+    return float(np.sum(rho.values.diagonal().real) * rho.dx)
+
+
+def hermiticity_residual(rho: DensityGrid) -> float:
+    """max |rho - rho^H|, with one complex temporary: rho^T is copied,
+    then conjugated and subtracted in place."""
+    diff = rho.values.T.copy()
+    np.conjugate(diff, out=diff)
+    np.subtract(rho.values, diff, out=diff)
+    return float(np.max(np.abs(diff)))
+
+
+def purity(rho: DensityGrid) -> float:
+    return float(np.sum(np.abs(rho.values) ** 2) * rho.dx * rho.dx)

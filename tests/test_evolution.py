@@ -12,18 +12,18 @@ from qbmlab.params import BathParams, SystemParams
 from qbmlab.coefficients import decoherence_exponent, diffusion_zero_T_free
 from qbmlab.evolution import (MIN_STEPS, RESOLVED_VISIBILITY,
                               STEPS_TO_RESOLVE, CatStateSpec, DensityGrid,
-                              EvolveConfig, TermToggles, dephasing_factor,
-                              evolve_dephasing, evolve_full,
-                              free_cat_log_rho, free_cat_log_visibility,
-                              grid_trace, hermiticity_residual,
-                              init_cat_state, min_eigenvalue_estimate,
-                              purity, read_snapshot, suggest_timestep,
-                              write_snapshot)
+                              EvolveConfig, TermToggles, evolve_dephasing,
+                              evolve_full, free_cat_log_rho,
+                              free_cat_log_visibility, init_cat_state,
+                              min_eigenvalue_estimate, read_snapshot,
+                              suggest_timestep, write_snapshot)
 from qbmlab.evolution import (_dst_matrix, _half_blocks, _half_flow,
                               _half_grid, _half_work, _kinetic_flow,
                               _laplacian_eigenvalues, _mirror_symmetric,
                               _parity_blocks, _toeplitz, _visibility)
 from qbmlab.analysis import fringe_visibility
+from references import (dephasing_factor, grid_trace, hermiticity_residual,
+                        purity)
 
 SYS = SystemParams()
 BATH = BathParams(gamma=1.0, cutoff=40.0, kT=0.0)
@@ -47,6 +47,13 @@ def test_cat_state_is_exactly_mirror_symmetric(n, center):
     rho = init_cat_state(spec, n, 8.0)
     np.testing.assert_array_equal(rho.values, rho.values[::-1, ::-1])
     assert rho.extent == pytest.approx((center - 4.0, center + 4.0))
+
+
+@pytest.mark.parametrize("n", [160, 161])
+def test_cat_state_is_exactly_hermitian(n):
+    # with mirror symmetry, what evolve_full needs to hold a run packed
+    rho = init_cat_state(CatStateSpec(separation=2.0, width=0.5), n, 8.0)
+    np.testing.assert_array_equal(rho.values, rho.values.conj().T)
 
 
 def test_hermiticity_residual_equals_direct_formula():
@@ -303,9 +310,13 @@ def _random_rho(n: int, seed: int) -> np.ndarray:
     return rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
 
 
+def _theta(n: int, dx: float, h: float) -> np.ndarray:
+    # the kinetic phases hbar h lam / 2M of one step
+    return 0.5 * SYS.hbar * h / SYS.mass * _laplacian_eigenvalues(n, dx)
+
+
 def _phases(n: int, dx: float, h: float) -> np.ndarray:
-    lam = _laplacian_eigenvalues(n, dx)
-    return np.exp(0.5j * SYS.hbar * h / SYS.mass * lam)
+    return np.exp(1j * _theta(n, dx, h))
 
 
 def _dense_propagator(n: int, dx: float, h: float) -> np.ndarray:
@@ -332,6 +343,12 @@ def _mirror_rho(n: int, seed: int) -> np.ndarray:
     return values + values[::-1, ::-1]
 
 
+def _hermitian_mirror_rho(n: int, seed: int) -> np.ndarray:
+    # exactly rho = J rho J = rho^H, not real
+    values = _mirror_rho(n, seed)
+    return 0.5 * (values + values.conj().T)
+
+
 @pytest.mark.parametrize("n", [64, 65, 160, 161])
 def test_parity_flow_matches_dense_propagator(n):
     dx, h = 8.0 / (n - 1), 3e-3
@@ -344,12 +361,18 @@ def test_parity_flow_matches_dense_propagator(n):
     assert np.abs(rho - ref).max() <= 1e-13 * np.abs(ref).max()
 
 
-def _half_flow_grid(rho: np.ndarray, dx: float, h: float) -> np.ndarray:
-    # one kinetic substep on rho's top rows, rebuilt to the full grid
+def _packed_top(rho: np.ndarray) -> np.ndarray:
+    # the top rows of Re rho + Im rho
     n = rho.shape[0]
-    top = rho[:n - n // 2].copy()
-    blocks = _parity_blocks(_dst_matrix(n), _phases(n, dx, h))
-    _half_flow(top, _half_work(n), _half_blocks(blocks))
+    return rho[:n - n // 2].real + rho[:n - n // 2].imag
+
+
+def _half_flow_grid(rho: np.ndarray, dx: float, h: float) -> np.ndarray:
+    # one kinetic substep on rho's packed top rows, rebuilt to the full grid
+    n = rho.shape[0]
+    top = _packed_top(rho)
+    _half_flow(top, _half_work(n), _half_blocks(_dst_matrix(n),
+                                                _theta(n, dx, h)))
     return _half_grid(top)
 
 
@@ -357,7 +380,7 @@ def _half_flow_grid(rho: np.ndarray, dx: float, h: float) -> np.ndarray:
 def test_mirror_flow_matches_dense_propagator(n):
     dx, h = 8.0 / (n - 1), 3e-3
     u = _dense_propagator(n, dx, h)
-    rho = _mirror_rho(n, n)
+    rho = _hermitian_mirror_rho(n, n)
     ref = u @ rho @ u.conj().T
     assert _mirror_symmetric(rho)
     out = _half_flow_grid(rho, dx, h)
@@ -426,11 +449,14 @@ def test_kinetic_flow_allocates_no_full_grid():
 
 
 def test_mirror_flow_allocates_no_full_grid():
-    # the column fold, the products and the unfold work in the caller's
-    # arrays; what is left is numpy's ufunc buffers for strided operands
-    rho = _mirror_rho(512, 7)
-    top, work = rho[:256].copy(), _half_work(512)
-    blocks = _half_blocks(_blocks_512())
+    # the column fold, the products, the phases and the unfold work in the
+    # caller's arrays; what is left is numpy's ufunc buffers for strided
+    # operands.  rho is the packed real grid, half a complex one's bytes
+    n = 512
+    rho = _hermitian_mirror_rho(n, 7)
+    rho = rho.real + rho.imag
+    top, work = rho[:256].copy(), _half_work(n)
+    blocks = _half_blocks(_dst_matrix(n), _theta(n, 12.0 / (n - 1), 1e-3))
     peak = _peak_bytes(lambda: _half_flow(top, work, blocks))
     assert peak < rho.nbytes / 4
 
@@ -496,10 +522,10 @@ def _dense_strang_run(values, extent, sys, bath, dt, n_steps):
 @pytest.mark.parametrize("n", [64, 65, 160, 161])
 @pytest.mark.parametrize("frequency", [0.0, 2.0])
 def test_half_path_run_matches_dense_propagator(n, frequency):
-    # random mirror-symmetric, non-Hermitian states on a grid centred at
-    # 0, with diffusion on and the potential off and on
+    # random Hermitian, mirror-symmetric states on a grid centred at 0,
+    # with diffusion on and the potential off and on
     sys = SystemParams(frequency=frequency)
-    values = _mirror_rho(n, 3000 + n)
+    values = _hermitian_mirror_rho(n, 3000 + n)
     rho0 = DensityGrid(n=n, extent=(-4.0, 4.0), values=values, time=0.0)
     dt = 2e-3
     run = evolve_full(rho0, sys, BATH,
@@ -509,14 +535,31 @@ def test_half_path_run_matches_dense_propagator(n, frequency):
     assert np.abs(run.final.values - ref).max() <= 1e-13 * np.abs(ref).max()
 
 
+@pytest.mark.parametrize("n", [64, 65, 160, 161])
+@pytest.mark.parametrize("frequency", [0.0, 2.0])
+def test_non_hermitian_mirror_state_takes_full_path(n, frequency):
+    # mirror-symmetric but not Hermitian: the packed state cannot hold it
+    sys = SystemParams(frequency=frequency)
+    values = _mirror_rho(n, 3000 + n)
+    rho0 = DensityGrid(n=n, extent=(-4.0, 4.0), values=values, time=0.0)
+    dt = 2e-3
+    run = evolve_full(rho0, sys, BATH,
+                      EvolveConfig(dt=dt, t_end=3 * dt, record_every=10 ** 6))
+    assert run.mirror_steps == 0
+    ref = _dense_strang_run(values, rho0.extent, sys, BATH, dt, 3)
+    assert np.abs(run.final.values - ref).max() <= 1e-13 * np.abs(ref).max()
+    assert run.herm_residual.min() > 1e-5
+
+
 @pytest.mark.parametrize("n", [160, 161])
 def test_half_path_diagnostics_match_full_grid(n):
-    # a centred cat plus a mirror-symmetric, non-Hermitian perturbation;
-    # every step's scalars against the public functions on its grid
+    # a centred cat plus a Hermitian, mirror-symmetric perturbation;
+    # every step's scalars against the references on its grid
     spec = CatStateSpec(separation=1.0, width=0.5)
     cat = init_cat_state(spec, n, 8.0)
     rho0 = DensityGrid(n=n, extent=cat.extent, time=0.0,
-                       values=cat.values + 1e-3 * _mirror_rho(n, 4000 + n))
+                       values=cat.values
+                       + 1e-3 * _hermitian_mirror_rho(n, 4000 + n))
     run = evolve_full(rho0, SystemParams(frequency=2.0), BATH,
                       EvolveConfig(dt=2e-3, t_end=0.01, record_every=1),
                       cat_spec=spec)
@@ -529,7 +572,6 @@ def test_half_path_diagnostics_match_full_grid(n):
             hermiticity_residual(grid), rel=1e-13)
         assert run.visibility[k] == pytest.approx(
             _visibility(grid.values, grid.extent, spec), rel=1e-13)
-    assert run.herm_residual.min() > 1e-5
 
 
 @pytest.mark.parametrize("n", [160, 161])
