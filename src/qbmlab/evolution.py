@@ -22,8 +22,14 @@ Two evolution paths:
   Re rho + Im rho: its kinetic flow is eight real (n/2)^3 products,
   every other substep and diagnostic reads n/2 real rows, and the
   complex grid is built only for snapshots.  No step allocates a full
-  grid.  Individual terms can be toggled off (``TermToggles``) to
-  compare limits against closed forms.
+  grid.  The two parity blocks of that flow share no data between the
+  fold and the unfold, so the odd block runs on a worker thread while
+  the calling thread runs the even one, each with the same arithmetic
+  as in turn, so the results are bit-identical.  The worker is one
+  thread per process, started by the first packed flow, not at import,
+  and a child forked after that starts its own.  Individual terms can
+  be toggled off (``TermToggles``) to compare limits against closed
+  forms.
 
 A grid-free exact route covers the free particle at kT = 0 with only the
 kinetic and diffusion terms acting: ``free_cat_log_rho`` and
@@ -35,7 +41,9 @@ dx = span/(n-1); the trace is the plain Riemann sum of the diagonal.
 """
 from __future__ import annotations
 
+import contextvars
 import math
+import os
 import struct
 from dataclasses import dataclass
 
@@ -405,6 +413,44 @@ def _half_blocks(s: np.ndarray, theta: np.ndarray) -> tuple:
     return tuple(blocks)
 
 
+def _block_flow(g: np.ndarray, tmp: np.ndarray, block: tuple) -> None:
+    """g <- B (G o cos + G^T o sin) B^T with G = L g B, in place, for one
+    parity block (B, L, cos, sin) of _half_blocks; tmp is overwritten."""
+    b, left, cos, sin = block
+    np.matmul(left, g, out=tmp)
+    np.matmul(tmp, b, out=g)
+    np.multiply(g.T, sin, out=tmp)
+    np.multiply(g, cos, out=g)
+    np.add(g, tmp, out=g)
+    np.matmul(b, g, out=tmp)
+    np.matmul(tmp, b.T, out=g)
+
+
+# The one worker thread of _half_flow's odd block, started by the first
+# packed flow.  A child forked after that has no such thread, so it
+# starts its own.
+_worker = None
+
+
+def _block_worker():
+    global _worker
+    if _worker is None:
+        # imported here: concurrent.futures loads logging, which would add
+        # about 10 ms to every start of the package
+        from concurrent.futures import ThreadPoolExecutor
+        _worker = ThreadPoolExecutor(max_workers=1,
+                                     thread_name_prefix="qbmlab-odd-block")
+    return _worker
+
+
+def _forget_worker() -> None:
+    global _worker
+    _worker = None
+
+
+os.register_at_fork(after_in_child=_forget_worker)
+
+
 def _half_flow(top: np.ndarray, work: tuple, blocks: tuple) -> None:
     """top <- the top rows of pack(U rho U^H), in place, for a Hermitian
     rho = J rho J held as the top m = n - n//2 rows of the real
@@ -422,7 +468,11 @@ def _half_flow(top: np.ndarray, work: tuple, blocks: tuple) -> None:
     Phi_jk = exp(i (theta_j - theta_k)) and pack(G o Phi) =
     pack(G) o cos + pack(G)^T o sin.  The top rows of P^T X P are the
     column unfold of [X+ | X-] (for odd n, the middle row of X+ alone).
-    The rebuilt Q is exactly mirror-symmetric."""
+    The rebuilt Q is exactly mirror-symmetric.
+
+    The odd block's X runs on the worker thread of _block_worker while
+    the calling thread forms the even block's, and both are joined
+    before the unfold; an error in either is raised here."""
     n = top.shape[1]
     h = n // 2
     m = n - h
@@ -432,15 +482,14 @@ def _half_flow(top: np.ndarray, work: tuple, blocks: tuple) -> None:
     np.subtract(top[:h, :h], mirror[:h, :h], out=odd)
     if m > h:
         even[:, h] = top[:, h]
-    for g, tmp, (b, left, cos, sin) in zip((even, odd), (even_tmp, odd_tmp),
-                                           blocks):
-        np.matmul(left, g, out=tmp)
-        np.matmul(tmp, b, out=g)
-        np.multiply(g.T, sin, out=tmp)
-        np.multiply(g, cos, out=g)
-        np.add(g, tmp, out=g)
-        np.matmul(b, g, out=tmp)
-        np.matmul(tmp, b.T, out=g)
+    # the blocks share nothing until the unfold: the odd one runs on the
+    # worker thread (in the caller's context, so np.errstate holds there)
+    odd_done = _block_worker().submit(contextvars.copy_context().run,
+                                      _block_flow, odd, odd_tmp, blocks[1])
+    try:
+        _block_flow(even, even_tmp, blocks[0])
+    finally:
+        odd_done.result()
     np.add(even[:h, :h], odd, out=top[:h, :h])
     np.subtract(even[:h, :h], odd, out=mirror[:h, :h])
     if m > h:
@@ -607,11 +656,15 @@ def evolve_full(rho0: DensityGrid, sys: SystemParams, bath: BathParams,
     potential, if on, is mirror-symmetric too, every substep keeps both.
     Such a run holds the top n - n//2 rows of the real Q = Re rho + Im rho
     (Re rho = (Q + Q^T)/2, Im rho = (Q - Q^T)/2): K is eight real
-    (n/2)^3 products (_half_flow), D multiplies by the real diffusion
-    factor, or by the Hermitian f as Q o Re f + Q^T o Im f, the trace is
-    Q's diagonal and the purity the sum of Q^2.  The hermiticity residual
-    is 0 by construction, recorded and not computed.  Only snapshots
-    unpack to the complex grid.  ``mirror_steps`` counts the kinetic
+    (n/2)^3 products (_half_flow), four per parity block, the odd
+    block's on one worker thread while the calling thread does the even
+    block's; the worker is made by the process's first packed flow, and
+    made again in a child forked after it.  D multiplies by the real
+    diffusion factor, or by the Hermitian f as Q o Re f + Q^T o Im f, the
+    trace is Q's diagonal and the purity the sum of Q^2.  The hermiticity
+    residual is 0 by construction, recorded and not computed.  Only
+    snapshots unpack to the complex grid; ``snapshots[0]`` is rho0
+    itself, on either path.  ``mirror_steps`` counts the kinetic
     substeps taken that way.  Any other state runs the full grid.
 
     Every substep and diagnostic works in place in a fixed set of arrays.
@@ -759,7 +812,7 @@ def evolve_full(rho0: DensityGrid, sys: SystemParams, bath: BathParams,
                            time=t)
 
     record()
-    snapshots = [snap(t0)]
+    snapshots = [rho0]
     snapshot_steps = [0]
     for k in range(1, n_steps + 1):
         dephase(2 * k - 2)
@@ -791,19 +844,15 @@ _HEADER = struct.Struct("<Iddd")
 def write_snapshot(rho: DensityGrid, path) -> None:
     with open(path, "wb") as fh:
         fh.write(_HEADER.pack(rho.n, rho.extent[0], rho.extent[1], rho.time))
-        inter = np.empty((rho.n, rho.n, 2), dtype="<f8")
-        inter[:, :, 0] = rho.values.real
-        inter[:, :, 1] = rho.values.imag
-        inter.tofile(fh)
+        rho.values.astype("<c16", copy=False).tofile(fh)
 
 
 def read_snapshot(path) -> DensityGrid:
     with open(path, "rb") as fh:
         n, lo, hi, time = _HEADER.unpack(fh.read(_HEADER.size))
-        inter = np.fromfile(fh, dtype="<f8", count=2 * n * n)
-    if inter.size != 2 * n * n:
-        raise ValueError(f"snapshot file truncated: expected {2*n*n} floats, "
-                         f"got {inter.size}")
-    inter = inter.reshape(n, n, 2)
-    values = inter[:, :, 0] + 1j * inter[:, :, 1]
-    return DensityGrid(n=n, extent=(lo, hi), values=values, time=time)
+        values = np.fromfile(fh, dtype="<c16", count=n * n)
+    if values.size != n * n:
+        raise ValueError(f"snapshot file truncated: expected {n*n} complex "
+                         f"values, got {values.size}")
+    return DensityGrid(n=n, extent=(lo, hi), values=values.reshape(n, n),
+                       time=time)

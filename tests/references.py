@@ -4,6 +4,8 @@ Time-domain references for the decoherence exponent: the literal
 nestings cost O((Lambda t)^2) and are unusable at Lambda*t ~ 1e5, so they
 check the production routes at small t.  Full-grid diagnostics and the
 pure-dephasing factor, the references of the solver's per-step scalars.
+The packed kinetic flow with its parity blocks applied one after the
+other, the bit-for-bit reference of the concurrent one.
 """
 import math
 
@@ -99,3 +101,31 @@ def hermiticity_residual(rho: DensityGrid) -> float:
 
 def purity(rho: DensityGrid) -> float:
     return float(np.sum(np.abs(rho.values) ** 2) * rho.dx * rho.dx)
+
+
+def serial_half_flow(top: np.ndarray, work: tuple, blocks: tuple) -> None:
+    """evolution._half_flow with the even and then the odd block run in
+    turn on the calling thread: the same arithmetic in the same order."""
+    n = top.shape[1]
+    h = n // 2
+    m = n - h
+    even, odd, even_tmp, odd_tmp = work
+    mirror = top[:, ::-1]
+    np.add(top[:, :h], mirror[:, :h], out=even[:, :h])
+    np.subtract(top[:h, :h], mirror[:h, :h], out=odd)
+    if m > h:
+        even[:, h] = top[:, h]
+    for g, tmp, (b, left, cos, sin) in zip((even, odd), (even_tmp, odd_tmp),
+                                           blocks):
+        np.matmul(left, g, out=tmp)
+        np.matmul(tmp, b, out=g)
+        np.multiply(g.T, sin, out=tmp)
+        np.multiply(g, cos, out=g)
+        np.add(g, tmp, out=g)
+        np.matmul(b, g, out=tmp)
+        np.matmul(tmp, b.T, out=g)
+    np.add(even[:h, :h], odd, out=top[:h, :h])
+    np.subtract(even[:h, :h], odd, out=mirror[:h, :h])
+    if m > h:
+        top[:, h] = even[:, h]
+        top[h, :h] = mirror[h, :h] = even[h, :h]

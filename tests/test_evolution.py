@@ -1,5 +1,8 @@
 """Grid evolution: dephasing closed form, the Strang-split solver vs an
 exact Fourier-characteristics solution, conservation laws, snapshot I/O."""
+import multiprocessing
+import struct
+import threading
 import tracemalloc
 
 import numpy as np
@@ -23,7 +26,7 @@ from qbmlab.evolution import (_dst_matrix, _half_blocks, _half_flow,
                               _parity_blocks, _toeplitz, _visibility)
 from qbmlab.analysis import fringe_visibility
 from references import (dephasing_factor, grid_trace, hermiticity_residual,
-                        purity)
+                        purity, serial_half_flow)
 
 SYS = SystemParams()
 BATH = BathParams(gamma=1.0, cutoff=40.0, kT=0.0)
@@ -394,6 +397,71 @@ def test_mirror_flow_matches_dense_propagator(n):
         assert np.abs(out[:, mid] - ref[:, mid]).max() <= 1e-13 * scale
 
 
+def _packed_flow_case(n: int):
+    # a packed Hermitian mirror state, fresh work arrays and one step's
+    # blocks
+    dx = 8.0 / (n - 1)
+    return (_packed_top(_hermitian_mirror_rho(n, 5000 + n)), _half_work(n),
+            _half_blocks(_dst_matrix(n), _theta(n, dx, 3e-3)))
+
+
+@pytest.mark.parametrize("n", [64, 65, 160, 161])
+def test_concurrent_mirror_flow_equals_serial_blocks(n):
+    # the odd block runs on the worker thread: bit for bit the serial flow
+    top, work, blocks = _packed_flow_case(n)
+    ref = top.copy()
+    for _ in range(3):
+        _half_flow(top, work, blocks)
+        serial_half_flow(ref, _half_work(n), blocks)
+        assert np.array_equal(top, ref)
+
+
+def test_mirror_flow_reuses_one_worker_thread():
+    top, work, blocks = _packed_flow_case(64)
+    start = threading.active_count()
+    for _ in range(200):
+        _half_flow(top, work, blocks)
+    assert threading.active_count() <= start + 1
+
+
+def test_worker_block_error_reaches_the_caller():
+    # only the odd block overflows: the caller's np.errstate holds on the
+    # worker thread, and its error is raised here
+    top, work, blocks = _packed_flow_case(64)
+    odd_only = np.full_like(top, 5e307)    # odd fold 1e308, even fold 0
+    odd_only[:, 32:] = -5e307
+    with np.errstate(all="raise"), pytest.raises(FloatingPointError):
+        _half_flow(odd_only, work, blocks)
+    ref = top.copy()
+    _half_flow(top, work, blocks)
+    serial_half_flow(ref, _half_work(64), blocks)
+    assert np.array_equal(top, ref)
+
+
+def _flow_and_compare(top, work, blocks, expected) -> None:
+    _half_flow(top, work, blocks)
+    if not np.array_equal(top, expected):
+        raise AssertionError("the forked child's flow differs")
+
+
+def test_child_forked_after_a_flow_completes_a_flow():
+    # the child inherits no running worker thread; it must start its own
+    top, work, blocks = _packed_flow_case(64)
+    _half_flow(top, work, blocks)
+    expected = top.copy()
+    serial_half_flow(expected, _half_work(64), blocks)
+    child = multiprocessing.get_context("fork").Process(
+        target=_flow_and_compare, args=(top, work, blocks, expected))
+    child.start()
+    child.join(timeout=30.0)
+    hung = child.is_alive()
+    if hung:
+        child.kill()
+        child.join()
+    assert not hung, "the forked child's flow hung"
+    assert child.exitcode == 0
+
+
 def test_mirror_flow_skips_non_finite_state():
     # NaN != NaN: a symmetric state holding a NaN is not taken as
     # mirror-symmetric, so it would run on the full grid
@@ -725,12 +793,16 @@ def test_snapshot_roundtrip(tmp_path):
 def test_snapshot_header_layout(tmp_path):
     # little-endian u32 n + 3 f64, then n^2 interleaved (re, im) f64 pairs
     spec = CatStateSpec(separation=2.0, width=0.5)
-    rho = init_cat_state(spec, 161, 8.0)
+    cat = init_cat_state(spec, 161, 8.0)
+    rho = DensityGrid(n=161, extent=cat.extent, time=0.0,
+                      values=cat.values + 1e-3 * _random_rho(161, 17))
+    assert np.abs(rho.values.imag).min() > 0.0
     path = tmp_path / "rho.bin"
     write_snapshot(rho, path)
     raw = path.read_bytes()
     assert len(raw) == 28 + 161 * 161 * 16
-    import struct
     n, lo, hi, t = struct.unpack("<Iddd", raw[:28])
     assert n == 161 and lo == pytest.approx(-4.0) \
         and hi == pytest.approx(4.0) and t == 0.0
+    pairs = [v for z in rho.values.ravel() for v in (z.real, z.imag)]
+    assert raw[28:] == struct.pack(f"<{len(pairs)}d", *pairs)
