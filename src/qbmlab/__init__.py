@@ -23,10 +23,9 @@ from .evolution import (CatStateSpec, DensityGrid, EvolveConfig, TermToggles,
                         free_cat_log_visibility, suggest_timestep,
                         write_snapshot, read_snapshot)
 from .analysis import (CoherenceTrace, PowerLawFit, ExponentialFit,
-                       ModelSelection, fringe_visibility, fit_power_law,
-                       fit_exponential, model_select)
-from .scenarios import (ScenarioConfig, SCENARIOS, load_config, save_config,
-                        run_scenario)
+                       ModelSelection, fit_power_law, fit_exponential,
+                       model_select)
+from .scenarios import ScenarioConfig, SCENARIOS, load_config, run_scenario
 
 __version__ = "0.1.0"
 
@@ -45,8 +44,7 @@ __all__ = [
     "free_cat_log_rho", "free_cat_log_visibility", "suggest_timestep",
     "write_snapshot", "read_snapshot",
     "CoherenceTrace", "PowerLawFit", "ExponentialFit", "ModelSelection",
-    "fringe_visibility", "fit_power_law", "fit_exponential", "model_select",
-    "ScenarioConfig", "SCENARIOS", "load_config", "save_config",
-    "run_scenario",
+    "fit_power_law", "fit_exponential", "model_select",
+    "ScenarioConfig", "SCENARIOS", "load_config", "run_scenario",
     "__version__",
 ]

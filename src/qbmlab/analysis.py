@@ -12,11 +12,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .evolution import CatStateSpec, DensityGrid, _visibility
-
 __all__ = [
     "CoherenceTrace", "PowerLawFit", "ExponentialFit", "ModelSelection",
-    "fringe_visibility", "fit_power_law", "fit_exponential", "model_select",
+    "fit_power_law", "fit_exponential", "model_select",
 ]
 
 MEASURE_KINDS = ("fringe_visibility", "offdiag_factor")
@@ -79,14 +77,6 @@ class ModelSelection:
     power_law: PowerLawFit
     exponential: ExponentialFit
     delta_r_squared: float  # r^2(power_law) - r^2(exponential)
-
-
-def fringe_visibility(rho: DensityGrid, spec: CatStateSpec) -> float:
-    """2|rho(x+, x-)| / (rho(x+,x+) + rho(x-,x-)) at the packet centers
-    x+- = grid_center +- separation/2, read from the grid's DST-I
-    sine-series interpolant (exact at grid nodes).  Returns 1 for
-    separation = 0 (the two sample points coincide)."""
-    return _visibility(rho.values, rho.extent, spec)
 
 
 def _window_arrays(trace: CoherenceTrace, window):

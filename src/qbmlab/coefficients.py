@@ -39,7 +39,7 @@ occupation factor coth(hbar w / 2 kT) and sinc(u) = sin(u)/u.  The
   and Cin terms and one quadrature over a fixed range per sample, all
   samples of a time grid in one batched call, so the cost does not grow
   with kT or t (_bose_part).  Above that kT the Bose term is integrated
-  over frequency up to Lambda.
+  over frequency up to Lambda, all samples in one batched call.
 * ``quadrature`` (any kT): the full frequency integral with the coth
   weight.  It shares no closed form with the other routes and is their
   independent cross-check.
@@ -265,17 +265,26 @@ def _bose_part(kernel, order: int, sys: SystemParams, bath: BathParams,
     quadrature over [0, min(Y, 8)].  So the cost does not grow with kT or
     t, and the whole grid is one pass: the head on arrays and one batched
     quadrature whose intervals keep their own tolerances.  Above that kT,
-    the frequency integral up to Lambda, one sample at a time.
+    the frequency integral up to Lambda, every sample an interval of one
+    batched quadrature with panels no wider than pi/t_i, which refines
+    each as its own _frequency_integral call would.
     """
     if bath.kT == 0:
         return np.zeros_like(t)
     kappa = bath.kT / sys.hbar
     if _BOSE_CUT * kappa >= bath.cutoff:
         weight = _bose_weight(sys, bath)
-        return np.array([
-            _frequency_integral(kernel, weight, bath.cutoff, sys, bath, ti,
-                                max(abs_tol, rel_tol * abs(ci)), rel_tol)
-            for ti, ci in zip(t, closed)])
+        p = 2.0 * sys.mass * bath.gamma / np.pi
+
+        def bose(w, which):
+            return p * weight(w) * kernel(sys.frequency, t[which])(w)
+
+        values, _ = quadrature.integrate_batch(
+            bose, np.zeros_like(t), np.full_like(t, bath.cutoff),
+            max_width=np.pi / t,
+            abs_tol=np.maximum(abs_tol, rel_tol * np.abs(closed)),
+            rel_tol=rel_tol)
+        return values
     pref = 2.0 * sys.mass * bath.gamma / np.pi * kappa ** (1 - order)
     span = kappa * t
     value = _matsubara_free(order, np.pi * span)

@@ -42,6 +42,7 @@ dx = span/(n-1); the trace is the plain Riemann sum of the diagonal.
 from __future__ import annotations
 
 import contextvars
+import hashlib
 import math
 import os
 import struct
@@ -394,6 +395,18 @@ def _mirror_symmetric(v: np.ndarray) -> bool:
     return bool(np.array_equal(v, np.flip(v)))
 
 
+def _packable(v: np.ndarray) -> bool:
+    """Whether the (n, n) grid v equals J v J and v^H exactly, read from
+    its top m = n - n//2 rows: v[:m] = (J v J)[:m], and v[:m] = (v^H)[:m]
+    read from the columns v[:, :m].T.  Each row below m mirrors one of
+    them, so the whole grid then has both symmetries.  Never true for a
+    grid holding a NaN."""
+    m = v.shape[0] - v.shape[0] // 2
+    top = v[:m]
+    return bool(np.array_equal(top, v[::-1, ::-1][:m])
+                and np.array_equal(top, v[:, :m].T.conj()))
+
+
 def _half_blocks(s: np.ndarray, theta: np.ndarray) -> tuple:
     """_half_flow's (B, L, cos, sin) per parity block: the real modes B
     (S[:m, 0::2], then S[:h, 1::2]), L = B^T scaled for the row fold
@@ -509,16 +522,29 @@ def _half_bottom(top: np.ndarray) -> np.ndarray:
     return top[:top.shape[1] // 2][::-1, ::-1]
 
 
+def _half_transpose(top: np.ndarray, out: np.ndarray) -> np.ndarray:
+    """The top rows of v^T into out, from the top rows of v = J v J: its
+    bottom rows' first columns read through the mirror."""
+    m = top.shape[0]
+    np.copyto(out[:, :m], top[:, :m].T)
+    np.copyto(out[:, m:], _half_bottom(top)[:, :m].T)
+    return out
+
+
 def _half_grid(top: np.ndarray) -> np.ndarray:
     """The exactly Hermitian (n, n) grid (Q + Q^T)/2 + i (Q - Q^T)/2 of a
-    packed state (_half_flow) from Q's top rows."""
+    packed state (_half_flow) from Q's top rows: its top rows from Q/2
+    and Q^T/2 (_half_transpose), and its bottom rows as their mirror
+    image."""
     n, m = top.shape[1], top.shape[0]
     rho = np.empty((n, n), dtype=complex)
-    im = rho.imag               # Q/2 first, without a real temporary
-    np.multiply(top, 0.5, out=im[:m])
-    im[m:] = _half_bottom(im[:m])
-    np.add(im, im.T, out=rho.real)
-    np.subtract(im, im.T, out=im)
+    re, im = rho.real[:m], rho.imag[:m]
+    half_tr = _half_transpose(top, np.empty_like(top))
+    np.multiply(half_tr, 0.5, out=half_tr)
+    np.multiply(top, 0.5, out=im)
+    np.add(im, half_tr, out=re)
+    np.subtract(im, half_tr, out=im)
+    rho[m:] = _half_bottom(rho[:m])
     return rho
 
 
@@ -535,12 +561,6 @@ def _half_norm2(top: np.ndarray) -> float:
     h = top.shape[1] // 2
     return float(2.0 * np.vdot(top[:h], top[:h])
                  + np.vdot(top[h:], top[h:]))
-
-
-def _half_matvec(top: np.ndarray, w: np.ndarray) -> np.ndarray:
-    """v @ w from v's top rows: [top @ w ; reverse(top[:h] @ w[::-1])]."""
-    h = top.shape[1] // 2
-    return np.concatenate((top @ w, (top[:h] @ w[::-1])[::-1]))
 
 
 def _sine_weights(s: np.ndarray, extent: tuple[float, float],
@@ -572,28 +592,31 @@ def _cat_probe(s: np.ndarray, extent: tuple[float, float],
             _sine_weights(s, extent, spec.grid_center - 0.5 * spec.separation))
 
 
-def _probe_visibility(apply, probe, packed: bool = False) -> float:
-    """2|rho(x+, x-)| / (rho(x+, x+) + rho(x-, x-)) at the weights of
-    _cat_probe, of the state whose product with a vector w is apply(w); so
-    the solver can probe its live arrays.  When packed, apply is Q's
-    (_half_flow): w.Q w = w.rho w, and |rho(x+, x-)| = sqrt((a^2 + b^2)/2)
-    with a = w+.Q w- and b = w-.Q w+."""
+def _probe_visibility(v: np.ndarray, probe) -> float:
+    """2|rho(x+, x-)| / (rho(x+, x+) + rho(x-, x-)) of the grid values v
+    at the weights of _cat_probe."""
     if probe is None:
         return 1.0
     wp, wm = probe
-    vp, vm = apply(wp), apply(wm)
-    cross = abs(wp @ vm)
-    if packed:
-        cross = math.hypot(cross, wm @ vp) * math.sqrt(0.5)
-    return 2.0 * cross / ((wp @ vp).real + (wm @ vm).real)
+    vp, vm = v @ wp, v @ wm
+    return 2.0 * abs(wp @ vm) / ((wp @ vp).real + (wm @ vm).real)
 
 
-def _visibility(v: np.ndarray, extent: tuple[float, float],
-                spec: CatStateSpec) -> float:
-    """Fringe visibility of the grid values v spanning extent, read by the
-    sine-series interpolant (see analysis.fringe_visibility)."""
-    return _probe_visibility(
-        v.__matmul__, _cat_probe(_dst_matrix(v.shape[0]), extent, spec))
+def _half_visibility(top: np.ndarray, probe) -> float:
+    """_probe_visibility of a packed state (_half_flow) from Q's top rows,
+    through the 2 x 2 matrix G = W^T Q W of W = [w+ w-], the weights of
+    _cat_probe; probe is (W, Wr) with Wr = J W, or None.  With Q's bottom
+    rows the mirror of its top ones, G = W[:m]^T (top W) + Wr[:h]^T
+    (top[:h] Wr): one (m, n) and one (h, n) product by an (n, 2) matrix.
+    w.Q w = w.rho w, and |rho(x+, x-)| = sqrt((a^2 + b^2)/2) with
+    a = G[0, 1] and b = G[1, 0]."""
+    if probe is None:
+        return 1.0
+    w, w_rev = probe
+    m, h = top.shape[0], top.shape[1] // 2
+    g = w[:m].T @ (top @ w) + w_rev[:h].T @ (top[:h] @ w_rev)
+    return (2.0 * math.sqrt(0.5) * math.hypot(g[0, 1], g[1, 0])
+            / (g[0, 0] + g[1, 1]))
 
 
 def suggest_timestep(sys: SystemParams, bath: BathParams, separation: float,
@@ -654,6 +677,8 @@ def evolve_full(rho0: DensityGrid, sys: SystemParams, bath: BathParams,
     The path is decided once: when rho0 equals J rho0 J (J the mirror
     x_i <-> x_{n-1-i}) and rho0^H exactly, as a centred cat does, and the
     potential, if on, is mirror-symmetric too, every substep keeps both.
+    Both are tested on rho0's top n - n//2 rows, which imply them for the
+    whole grid (_packable).
     Such a run holds the top n - n//2 rows of the real Q = Re rho + Im rho
     (Re rho = (Q + Q^T)/2, Im rho = (Q - Q^T)/2): K is eight real
     (n/2)^3 products (_half_flow), four per parity block, the odd
@@ -661,10 +686,13 @@ def evolve_full(rho0: DensityGrid, sys: SystemParams, bath: BathParams,
     block's; the worker is made by the process's first packed flow, and
     made again in a child forked after it.  D multiplies by the real
     diffusion factor, or by the Hermitian f as Q o Re f + Q^T o Im f, the
-    trace is Q's diagonal and the purity the sum of Q^2.  The hermiticity
-    residual is 0 by construction, recorded and not computed.  Only
-    snapshots unpack to the complex grid; ``snapshots[0]`` is rho0
-    itself, on either path.  ``mirror_steps`` counts the kinetic
+    trace is Q's diagonal, the purity the sum of Q^2, and the visibility
+    comes from the 2 x 2 matrix W^T Q W of the two probe weights
+    W = [w+ w-] (_half_visibility).  The hermiticity residual is 0 by
+    construction, recorded and not computed.  Only snapshots unpack to
+    the complex grid, building its top rows from Q/2 and Q^T/2 and its
+    bottom rows as their mirror image (_half_grid); ``snapshots[0]`` is
+    rho0 itself, on either path.  ``mirror_steps`` counts the kinetic
     substeps taken that way.  Any other state runs the full grid.
 
     Every substep and diagnostic works in place in a fixed set of arrays.
@@ -704,8 +732,7 @@ def evolve_full(rho0: DensityGrid, sys: SystemParams, bath: BathParams,
             + (np.arange(n) - 0.5 * (n - 1)) * dx
         x2 = x * x
     v = rho0.values
-    half = (_mirror_symmetric(v) and np.array_equal(v, v.conj().T)
-            and (x2 is None or _mirror_symmetric(x2)))
+    half = _packable(v) and (x2 is None or _mirror_symmetric(x2))
     rows = n - n // 2 if half else n
     # -(x_i - x_j)^2 / hbar depends on i - j alone: a (2n - 1)-line, read
     # as an (n, n) Toeplitz view, exactly symmetric in i - j
@@ -721,6 +748,10 @@ def evolve_full(rho0: DensityGrid, sys: SystemParams, bath: BathParams,
     s = _dst_matrix(n) if terms.kinetic or cat_spec is not None else None
     probe = None if cat_spec is None else _cat_probe(s, rho0.extent,
                                                      cat_spec)
+    if half and probe is not None:
+        # W = [w+ w-] and its row reversal, for _half_visibility
+        w = np.stack(probe, axis=1)
+        probe = (w, np.ascontiguousarray(w[::-1]))
     if terms.kinetic:
         lam = _laplacian_eigenvalues(n, dx)
 
@@ -762,11 +793,8 @@ def evolve_full(rho0: DensityGrid, sys: SystemParams, bath: BathParams,
             np.add(work, f, out=f)
             np.exp(f, out=f)
             if half:
-                # f is Hermitian: rho o f packs to Q o Re f + Q^T o Im f,
-                # Q^T's top rows read through the mirror
-                np.copyto(work[:, :rows], rho[:, :rows].T)
-                np.copyto(work[:, rows:], _half_bottom(rho)[:, :rows].T)
-                np.multiply(work, f.imag, out=work)
+                # f is Hermitian: rho o f packs to Q o Re f + Q^T o Im f
+                np.multiply(_half_transpose(rho, work), f.imag, out=work)
                 np.multiply(rho, f.real, out=rho)
                 np.add(rho, work, out=rho)
             else:
@@ -791,10 +819,8 @@ def evolve_full(rho0: DensityGrid, sys: SystemParams, bath: BathParams,
         elif half:
             traces.append(_half_trace(rho) * dx)
             residuals.append(0.0)
-            visibilities.append(math.nan if cat_spec is None else
-                                _probe_visibility(
-                                    lambda w: _half_matvec(rho, w), probe,
-                                    packed=True))
+            visibilities.append(math.nan if cat_spec is None
+                                else _half_visibility(rho, probe))
         else:
             traces.append(float(np.sum(rho.diagonal().real) * dx))
             # copied first: conjugating the transposed view would buffer it
@@ -803,7 +829,7 @@ def evolve_full(rho0: DensityGrid, sys: SystemParams, bath: BathParams,
             np.subtract(rho, buf, out=buf)
             residuals.append(float(np.abs(buf, out=work).max()))
             visibilities.append(math.nan if cat_spec is None
-                                else _probe_visibility(rho.__matmul__, probe))
+                                else _probe_visibility(rho, probe))
         return purities[-1]
 
     def snap(t: float) -> DensityGrid:
@@ -841,10 +867,17 @@ def evolve_full(rho0: DensityGrid, sys: SystemParams, bath: BathParams,
 _HEADER = struct.Struct("<Iddd")
 
 
-def write_snapshot(rho: DensityGrid, path) -> None:
+def write_snapshot(rho: DensityGrid, path) -> str:
+    """Write rho in the layout above; returns the sha256 of the bytes
+    written."""
+    header = _HEADER.pack(rho.n, rho.extent[0], rho.extent[1], rho.time)
+    values = np.ascontiguousarray(rho.values, dtype="<c16")
     with open(path, "wb") as fh:
-        fh.write(_HEADER.pack(rho.n, rho.extent[0], rho.extent[1], rho.time))
-        rho.values.astype("<c16", copy=False).tofile(fh)
+        fh.write(header)
+        values.tofile(fh)
+    digest = hashlib.sha256(header)
+    digest.update(values)
+    return digest.hexdigest()
 
 
 def read_snapshot(path) -> DensityGrid:

@@ -145,7 +145,7 @@ def _refine(f, left, right, ids, abs_tol, rel_tol, max_refine, max_panels):
                           achieved=float(achieved))
 
 
-def integrate_batch(f, a, b, *, max_width: float | None = None,
+def integrate_batch(f, a, b, *, max_width=None,
                     abs_tol=ABS_TOL, rel_tol: float = REL_TOL,
                     max_refine: int = 40, max_panels: int = 1 << 21):
     """Integrate ``f`` over every interval [a_i, b_i] of the 1-D arrays
@@ -153,11 +153,13 @@ def integrate_batch(f, a, b, *, max_width: float | None = None,
 
     ``f(x, which)`` must evaluate elementwise at the 1-D ndarray ``x``,
     whose element ``x[j]`` lies in interval ``which[j]``.  ``max_width``
-    acts on each interval as in :func:`integrate`, and ``abs_tol`` may be
-    one tolerance per interval.  All intervals refine in the same rounds,
+    acts on each interval as in :func:`integrate`; it and ``abs_tol`` may
+    be one value per interval.  All intervals refine in the same rounds,
     each by its own rule: its tolerance ``max(abs_tol_i, rel_tol
     |value_i|)``, its own share per panel and its own panel budget, so each
-    gets the panels, value and estimate of its own :func:`integrate` call.
+    gets the panels of its own :func:`integrate` call, and its value and
+    estimate to roundoff: the Gauss sums of a panel round with the number
+    of panels they are formed with.
     An interval that meets its tolerance stops refining.  Raises
     :class:`QuadratureError` when any interval exhausts its panel budget or
     the refinement rounds.
@@ -169,6 +171,8 @@ def integrate_batch(f, a, b, *, max_width: float | None = None,
     if not len(live):
         return np.zeros(len(a)), np.zeros(len(a))
     lo, hi = a[live], b[live]
+    if max_width is not None:
+        max_width = (np.zeros(len(a)) + max_width)[live]
     n0 = _panel_counts(hi - lo, max_width, max_panels)
     ends = n0.cumsum()
     ids = live.repeat(n0)

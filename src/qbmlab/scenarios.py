@@ -25,8 +25,8 @@ from .evolution import (RESOLVED_VISIBILITY, CatStateSpec, EvolveConfig,
                         suggest_timestep, write_snapshot)
 from .analysis import CoherenceTrace, _ols, fit_power_law, model_select
 
-__all__ = ["ScenarioConfig", "SCENARIOS", "load_config", "save_config",
-           "run_scenario", "MANIFEST_VERSION"]
+__all__ = ["ScenarioConfig", "SCENARIOS", "load_config", "run_scenario",
+           "MANIFEST_VERSION"]
 
 MANIFEST_VERSION = "0.2.0"
 
@@ -118,13 +118,6 @@ def load_config(path) -> ScenarioConfig:
                           output_dir=raw.get("output_dir", "qbm_out"))
 
 
-def save_config(cfg: ScenarioConfig, path) -> None:
-    doc = {"scenario": cfg.scenario, "params": cfg.params,
-           "output_dir": cfg.output_dir}
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write(json.dumps(doc, sort_keys=True, indent=2) + "\n")
-
-
 def _resolved(cfg: ScenarioConfig) -> dict:
     out = dict(_DEFAULTS[cfg.scenario])
     out.update(cfg.params)
@@ -137,10 +130,12 @@ def _sys_bath(p: dict) -> tuple[SystemParams, BathParams]:
             BathParams(gamma=p["gamma"], cutoff=p["cutoff"], kT=p["kT"]))
 
 
-def _write_text(path: Path, text: str) -> None:
+def _write_text(path: Path, text: str) -> str:
+    """Write text as UTF-8; returns the sha256 of the bytes written."""
+    data = text.encode("utf-8")
     path.parent.mkdir(parents=True, exist_ok=True)
-    with open(path, "w", encoding="utf-8", newline="") as fh:
-        fh.write(text)
+    path.write_bytes(data)
+    return hashlib.sha256(data).hexdigest()
 
 
 def _trace_csv(times, values) -> str:
@@ -159,22 +154,16 @@ def _check(name: str, value: float, tolerance: float, passed: bool) -> dict:
             "pass": bool(passed)}
 
 
-def _sha256(path: Path) -> str:
-    h = hashlib.sha256()
-    with open(path, "rb") as fh:
-        for chunk in iter(lambda: fh.read(1 << 16), b""):
-            h.update(chunk)
-    return h.hexdigest()
-
-
 def _emit_manifest(out_dir: Path, cfg: ScenarioConfig, resolved: dict,
-                   rel_files: list, checks: list, warnings: list,
+                   files: dict, checks: list, warnings: list,
                    fit: dict | None = None) -> dict:
+    """Write manifest.json; ``files`` maps each artifact's path, relative
+    to out_dir, to the sha256 its writer returned."""
     manifest = {
         "version": MANIFEST_VERSION,
         "config_echo": {"scenario": cfg.scenario, "params": resolved},
-        "files": [{"path": rel, "sha256": _sha256(out_dir / rel)}
-                  for rel in sorted(rel_files)],
+        "files": [{"path": rel, "sha256": files[rel]}
+                  for rel in sorted(files)],
         "checks": checks,
         "warnings": warnings,
     }
@@ -195,7 +184,8 @@ def _run_zero_temperature(cfg: ScenarioConfig, out_dir: Path) -> dict:
     d = p["separation"]
     times = np.geomspace(p["t_lo"], p["t_hi"], int(p["n_points"]))
     coh = _coherence_from_exponent(sysp, bath, times, d)
-    _write_text(out_dir / "trace.csv", _trace_csv(times, coh))
+    files = {"trace.csv": _write_text(out_dir / "trace.csv",
+                                      _trace_csv(times, coh))}
 
     trace = CoherenceTrace(times, coh, "offdiag_factor")
     sel = model_select(trace)
@@ -205,7 +195,7 @@ def _run_zero_temperature(cfg: ScenarioConfig, out_dir: Path) -> dict:
                "r_squared": sel.power_law.r_squared,
                "window": list(sel.power_law.window),
                "alpha_theory": alpha, "rel_err": rel}
-    _write_text(out_dir / "fit.json", _json_text(fit_doc))
+    files["fit.json"] = _write_text(out_dir / "fit.json", _json_text(fit_doc))
 
     checks = [
         _check("alpha_fit_rel_err", rel, 0.05, rel <= 0.05),
@@ -214,8 +204,7 @@ def _run_zero_temperature(cfg: ScenarioConfig, out_dir: Path) -> dict:
         _check("model_select_margin", sel.delta_r_squared, 0.01,
                sel.model == "power_law" and sel.delta_r_squared >= 0.01),
     ]
-    return _emit_manifest(out_dir, cfg, p, ["trace.csv", "fit.json"],
-                          checks, [])
+    return _emit_manifest(out_dir, cfg, p, files, checks, [])
 
 
 def _run_high_temperature(cfg: ScenarioConfig, out_dir: Path) -> dict:
@@ -228,7 +217,8 @@ def _run_high_temperature(cfg: ScenarioConfig, out_dir: Path) -> dict:
     p = {**p, "t_lo": t_lo, "t_hi": t_hi}
     times = np.linspace(t_lo, t_hi, int(p["n_points"]))
     coh = _coherence_from_exponent(sysp, bath, times, d)
-    _write_text(out_dir / "trace.csv", _trace_csv(times, coh))
+    files = {"trace.csv": _write_text(out_dir / "trace.csv",
+                                      _trace_csv(times, coh))}
 
     trace = CoherenceTrace(times, coh, "offdiag_factor")
     sel = model_select(trace)
@@ -242,7 +232,7 @@ def _run_high_temperature(cfg: ScenarioConfig, out_dir: Path) -> dict:
                "window": list(sel.exponential.window),
                "rate_theory": rate_theory, "rel_err": rel,
                "decoherence_time": tau_d}
-    _write_text(out_dir / "fit.json", _json_text(fit_doc))
+    files["fit.json"] = _write_text(out_dir / "fit.json", _json_text(fit_doc))
 
     checks = [
         _check("rate_rel_err", rel, 0.05, rel <= 0.05),
@@ -251,8 +241,7 @@ def _run_high_temperature(cfg: ScenarioConfig, out_dir: Path) -> dict:
         _check("model_select_margin", -sel.delta_r_squared, 0.01,
                sel.model == "exponential" and -sel.delta_r_squared >= 0.01),
     ]
-    return _emit_manifest(out_dir, cfg, p, ["trace.csv", "fit.json"],
-                          checks, [])
+    return _emit_manifest(out_dir, cfg, p, files, checks, [])
 
 
 def _run_separation_sweep(cfg: ScenarioConfig, out_dir: Path) -> dict:
@@ -263,21 +252,22 @@ def _run_separation_sweep(cfg: ScenarioConfig, out_dir: Path) -> dict:
     # Theta is separation-independent: computed once for every separation.
     theta = exponent_trace(sysp, bath, times).theta
 
-    rel_files: list[str] = []
+    files: dict[str, str] = {}
     alphas: dict[float, float] = {}
     for d in seps:
         coh = np.exp(-d * d * theta / sysp.hbar)
         sub = f"d_{d:g}"
-        _write_text(out_dir / sub / "trace.csv", _trace_csv(times, coh))
+        files[f"{sub}/trace.csv"] = _write_text(out_dir / sub / "trace.csv",
+                                                _trace_csv(times, coh))
         fit = fit_power_law(CoherenceTrace(times, coh, "offdiag_factor"))
         alpha = alpha_theory(sysp, bath, d)
         doc = {"model": "power_law", "alpha_fit": fit.alpha_fit,
                "r_squared": fit.r_squared, "window": list(fit.window),
                "alpha_theory": alpha,
                "rel_err": abs(fit.alpha_fit - alpha) / alpha}
-        _write_text(out_dir / sub / "fit.json", _json_text(doc))
+        files[f"{sub}/fit.json"] = _write_text(out_dir / sub / "fit.json",
+                                               _json_text(doc))
         alphas[d] = fit.alpha_fit
-        rel_files.extend([f"{sub}/trace.csv", f"{sub}/fit.json"])
 
     d0 = seps[0]
     checks = []
@@ -287,7 +277,7 @@ def _run_separation_sweep(cfg: ScenarioConfig, out_dir: Path) -> dict:
         rel = abs(ratio / expected - 1.0)
         checks.append(_check(f"alpha_ratio_d{d:g}_vs_d{d0:g}", ratio,
                              0.02, rel <= 0.02))
-    return _emit_manifest(out_dir, cfg, p, rel_files, checks, [])
+    return _emit_manifest(out_dir, cfg, p, files, checks, [])
 
 
 def _run_full_vs_dephasing(cfg: ScenarioConfig, out_dir: Path) -> dict:
@@ -317,10 +307,10 @@ def _run_full_vs_dephasing(cfg: ScenarioConfig, out_dir: Path) -> dict:
         lines.append(",".join(_ROUND_TRIP_FMT.format(v) for v in (
             result.times[i], result.visibility[i], result.trace[i],
             result.herm_residual[i], result.purity[i])))
-    _write_text(out_dir / "vis_full.csv", "\n".join(lines) + "\n")
-    out_dir.mkdir(parents=True, exist_ok=True)
-    write_snapshot(result.final, out_dir / "rho_final.bin")
-    rel_files = ["vis_full.csv", "rho_final.bin"]
+    files = {"vis_full.csv": _write_text(out_dir / "vis_full.csv",
+                                         "\n".join(lines) + "\n"),
+             "rho_final.bin": write_snapshot(result.final,
+                                             out_dir / "rho_final.bin")}
 
     checks = [
         _check("trace_drift_max", float(np.max(np.abs(result.trace - 1.0))),
@@ -390,14 +380,14 @@ def _run_full_vs_dephasing(cfg: ScenarioConfig, out_dir: Path) -> dict:
                                  False))
             fit_doc.update(slope=None, rel_err=None, r_squared=None,
                            note="visibility hit zero inside the window")
-        _write_text(out_dir / "fit.json", _json_text(fit_doc))
-        rel_files.append("fit.json")
+        files["fit.json"] = _write_text(out_dir / "fit.json",
+                                        _json_text(fit_doc))
     else:
         warnings.append(
             f"fit window [{w_lo:g}, {w_hi:g}] not covered by the run; "
             "visibility slope check skipped")
 
-    return _emit_manifest(out_dir, cfg, p, rel_files, checks, warnings,
+    return _emit_manifest(out_dir, cfg, p, files, checks, warnings,
                           fit=fit_doc)
 
 

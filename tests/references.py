@@ -5,15 +5,22 @@ nestings cost O((Lambda t)^2) and are unusable at Lambda*t ~ 1e5, so they
 check the production routes at small t.  Full-grid diagnostics and the
 pure-dephasing factor, the references of the solver's per-step scalars.
 The packed kinetic flow with its parity blocks applied one after the
-other, the bit-for-bit reference of the concurrent one.
+other, the bit-for-bit reference of the concurrent one; the packed
+path's whole-grid test, its unpack and its four-product probe, the
+references of the top-row versions.  The grid's fringe visibility and a
+config writer, which no scenario needs.
 """
+import json
 import math
 
 import numpy as np
 
 from qbmlab import quadrature
 from qbmlab.coefficients import decoherence_exponent, diffusion_coefficient
-from qbmlab.evolution import DensityGrid
+from qbmlab.evolution import (CatStateSpec, DensityGrid, _cat_probe,
+                              _dst_matrix, _half_bottom, _mirror_symmetric,
+                              _probe_visibility)
+from qbmlab.scenarios import ScenarioConfig
 from qbmlab.kernels import noise_kernel_quadrature, noise_kernel_zero_T_closed
 from qbmlab.params import BathParams, SystemParams
 
@@ -129,3 +136,55 @@ def serial_half_flow(top: np.ndarray, work: tuple, blocks: tuple) -> None:
     if m > h:
         top[:, h] = even[:, h]
         top[h, :h] = mirror[h, :h] = even[h, :h]
+
+
+def packable(v: np.ndarray) -> bool:
+    """Whether v = J v J = v^H exactly, tested on the whole grid."""
+    return _mirror_symmetric(v) and bool(np.array_equal(v, v.conj().T))
+
+
+def half_grid(top: np.ndarray) -> np.ndarray:
+    """The unpacked grid (Q + Q^T)/2 + i (Q - Q^T)/2 of a packed state,
+    with Q/2 mirrored to the whole grid first."""
+    n, m = top.shape[1], top.shape[0]
+    rho = np.empty((n, n), dtype=complex)
+    im = rho.imag
+    np.multiply(top, 0.5, out=im[:m])
+    im[m:] = _half_bottom(im[:m])
+    np.add(im, im.T, out=rho.real)
+    np.subtract(im, im.T, out=im)
+    return rho
+
+
+def half_visibility(top: np.ndarray, probe) -> float:
+    """The packed state's fringe visibility from four products Q w, each
+    [top w ; reverse(top[:h] reverse(w))], at _cat_probe's weights:
+    |rho(x+, x-)| = sqrt((a^2 + b^2)/2), a = w+.Q w-, b = w-.Q w+."""
+    if probe is None:
+        return 1.0
+    h = top.shape[1] // 2
+
+    def q_times(w):
+        return np.concatenate((top @ w, (top[:h] @ w[::-1])[::-1]))
+
+    wp, wm = probe
+    vp, vm = q_times(wp), q_times(wm)
+    cross = math.hypot(wp @ vm, wm @ vp) * math.sqrt(0.5)
+    return 2.0 * cross / ((wp @ vp) + (wm @ vm))
+
+
+def fringe_visibility(rho: DensityGrid, spec: CatStateSpec) -> float:
+    """2|rho(x+, x-)| / (rho(x+,x+) + rho(x-,x-)) at the packet centers
+    x+- = grid_center +- separation/2, read from the grid's DST-I
+    sine-series interpolant (exact at grid nodes).  Returns 1 for
+    separation = 0 (the two sample points coincide)."""
+    return _probe_visibility(rho.values,
+                             _cat_probe(_dst_matrix(rho.n), rho.extent, spec))
+
+
+def save_config(cfg: ScenarioConfig, path) -> None:
+    """Write cfg as the JSON that scenarios.load_config reads."""
+    doc = {"scenario": cfg.scenario, "params": cfg.params,
+           "output_dir": cfg.output_dir}
+    with open(path, "w", encoding="utf-8") as fh:
+        fh.write(json.dumps(doc, sort_keys=True, indent=2) + "\n")

@@ -10,8 +10,8 @@ from qbmlab.params import BathParams, SystemParams, decoherence_time
 from qbmlab.coefficients import alpha_theory, exponent_trace
 from qbmlab.evolution import CatStateSpec, evolve_dephasing, init_cat_state
 from qbmlab.analysis import (CoherenceTrace, fit_exponential, fit_power_law,
-                             fringe_visibility, model_select)
-from references import dephasing_factor
+                             model_select)
+from references import dephasing_factor, fringe_visibility
 
 SYS = SystemParams(mass=1.0, frequency=0.0, hbar=1.0)
 BATH = BathParams(gamma=0.05, cutoff=200.0, kT=0.0)

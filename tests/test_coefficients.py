@@ -7,10 +7,13 @@ from hypothesis import given, settings, strategies as st
 
 from qbmlab import quadrature
 from qbmlab.params import BathParams, SystemParams
-from qbmlab.coefficients import (EULER_GAMMA, ExponentTrace,
+from qbmlab.coefficients import (EULER_GAMMA, ExponentTrace, _bose_part,
+                                 _bose_weight, _diffusion_kernel,
+                                 _exponent_kernel, _frequency_integral,
                                  _matsubara_free, _si_cin, alpha_theory,
                                  decoherence_exponent, diffusion_coefficient,
                                  diffusion_moments_zero_T_free,
+                                 diffusion_closed_zero_T,
                                  diffusion_zero_T_free,
                                  exponent_closed_zero_T, exponent_trace)
 from references import exponent_fubini_reference, exponent_nested_reference
@@ -104,6 +107,50 @@ def test_thermal_split_batched_matches_per_sample():
                 np.testing.assert_allclose(theta, theta_one, rtol=1e-14,
                                            atol=0.0)
                 np.testing.assert_allclose(d, d_one, rtol=1e-14, atol=0.0)
+
+
+@pytest.mark.parametrize("kT", [5.0, 50.0, 200.0])
+@pytest.mark.parametrize("w", [0.0, 1e-4, 0.7, 30.0])
+def test_bose_term_above_cut_batched_matches_per_sample(monkeypatch, w, kT):
+    # Above the Bose cut (40 kT / hbar >= Lambda) every sample is an
+    # interval of one batched frequency quadrature with panels no wider
+    # than pi/t_i; against one _frequency_integral call per sample.  The
+    # panels' Gauss sums round with the number of rows in their matvec,
+    # so values agree to a few ulp (at most 4.4e-16 relative here).
+    sysp = SystemParams(frequency=w)
+    bath = BathParams(gamma=0.1, cutoff=200.0, kT=kT)
+    t = np.geomspace(1e-3, 30.0, 40)
+    abs_tol, rel_tol = quadrature.ABS_TOL, quadrature.REL_TOL
+    batches, singles = [], []
+    inner_batch, inner_one = quadrature.integrate_batch, quadrature.integrate
+
+    def counted_batch(f, a, b, **kw):
+        batches.append(len(a))
+        return inner_batch(f, a, b, **kw)
+
+    def counted_one(*args, **kw):
+        singles.append(1)
+        return inner_one(*args, **kw)
+
+    for kernel, order, closed in ((_diffusion_kernel, 0,
+                                   diffusion_closed_zero_T),
+                                  (_exponent_kernel, 1,
+                                   exponent_closed_zero_T)):
+        c = closed(sysp, bath, t)
+        monkeypatch.setattr(quadrature, "integrate_batch", counted_batch)
+        monkeypatch.setattr(quadrature, "integrate", counted_one)
+        batched = _bose_part(kernel, order, sysp, bath, t, c, abs_tol,
+                             rel_tol)
+        monkeypatch.undo()
+        assert batches == [len(t)] and not singles
+        batches.clear()
+        weight = _bose_weight(sysp, bath)
+        per_sample = [_frequency_integral(kernel, weight, bath.cutoff, sysp,
+                                          bath, ti,
+                                          max(abs_tol, rel_tol * abs(ci)),
+                                          rel_tol)
+                      for ti, ci in zip(t, c)]
+        np.testing.assert_allclose(batched, per_sample, rtol=1e-14, atol=0.0)
 
 
 def test_diffusion_zero_T_free_unit_time():

@@ -7,6 +7,7 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 import scipy.integrate
 import scipy.optimize
 import scipy.special
@@ -20,13 +21,14 @@ from qbmlab.evolution import (MIN_STEPS, RESOLVED_VISIBILITY,
                               free_cat_log_visibility, init_cat_state,
                               min_eigenvalue_estimate, read_snapshot,
                               suggest_timestep, write_snapshot)
-from qbmlab.evolution import (_dst_matrix, _half_blocks, _half_flow,
-                              _half_grid, _half_work, _kinetic_flow,
+from qbmlab.evolution import (_cat_probe, _dst_matrix, _half_blocks,
+                              _half_flow, _half_grid, _half_visibility,
+                              _half_work, _kinetic_flow,
                               _laplacian_eigenvalues, _mirror_symmetric,
-                              _parity_blocks, _toeplitz, _visibility)
-from qbmlab.analysis import fringe_visibility
-from references import (dephasing_factor, grid_trace, hermiticity_residual,
-                        purity, serial_half_flow)
+                              _packable, _parity_blocks, _toeplitz)
+from references import (dephasing_factor, fringe_visibility, grid_trace,
+                        half_grid, half_visibility, hermiticity_residual,
+                        packable, purity, serial_half_flow)
 
 SYS = SystemParams()
 BATH = BathParams(gamma=1.0, cutoff=40.0, kT=0.0)
@@ -352,6 +354,19 @@ def _hermitian_mirror_rho(n: int, seed: int) -> np.ndarray:
     return 0.5 * (values + values.conj().T)
 
 
+_HERMITIAN_MIRROR = {n: _hermitian_mirror_rho(n, 6000 + n)
+                     for n in (64, 65, 160, 161)}
+
+
+def _coarse_cat(n: int, spec: CatStateSpec, extent: float) -> np.ndarray:
+    # init_cat_state's unnormalised psi psi^T without its resolution
+    # guard, exactly mirror-symmetric as there
+    u = (np.arange(n) - 0.5 * (n - 1)) * (extent / (n - 1))
+    half, s2 = 0.5 * spec.separation, 4.0 * spec.width ** 2
+    g = np.exp(-(u - half) ** 2 / s2) + np.exp(-(u + half) ** 2 / s2)
+    return np.outer(g, g).astype(complex)
+
+
 @pytest.mark.parametrize("n", [64, 65, 160, 161])
 def test_parity_flow_matches_dense_propagator(n):
     dx, h = 8.0 / (n - 1), 3e-3
@@ -377,6 +392,66 @@ def _half_flow_grid(rho: np.ndarray, dx: float, h: float) -> np.ndarray:
     _half_flow(top, _half_work(n), _half_blocks(_dst_matrix(n),
                                                 _theta(n, dx, h)))
     return _half_grid(top)
+
+
+@settings(max_examples=300, deadline=None)
+@given(n=st.sampled_from([64, 65, 160, 161]), row=st.integers(0, 1 << 20),
+       col=st.integers(0, 1 << 20), bottom=st.booleans(),
+       value=st.sampled_from([0.5, -0.25j, 1e-300, 1e-300j, np.nan,
+                              complex(0.0, np.nan)]),
+       orbit=st.sampled_from(["entry", "mirror", "mirror + adjoint"]))
+def test_top_row_path_test_agrees_with_whole_grid(n, row, col, bottom, value,
+                                                  orbit):
+    # a Hermitian mirror state with one entry changed in the top rows or
+    # the bottom ones, alone, with its mirror image, or with its mirror
+    # image and their adjoints (which keeps both symmetries unless NaN)
+    h, m = n // 2, n - n // 2
+    i = m + row % h if bottom else row % m
+    delta = np.zeros((n, n), complex)
+    delta[i, col % n] = value
+    if orbit != "entry":
+        delta = delta + delta[::-1, ::-1]
+    if orbit == "mirror + adjoint":
+        delta = delta + delta.conj().T
+    v = _HERMITIAN_MIRROR[n] + delta
+    assert _packable(v) == packable(v)
+    if orbit == "mirror + adjoint":
+        assert _packable(v) == bool(np.isfinite(value))
+
+
+@pytest.mark.parametrize("n", [64, 65, 160, 161])
+def test_top_row_path_test_on_whole_grids(n):
+    cat = _coarse_cat(n, CatStateSpec(separation=1.0, width=0.5), 8.0)
+    for v, want in ((_HERMITIAN_MIRROR[n], True), (cat, True),
+                    (_mirror_rho(n, n), False), (_random_rho(n, n), False),
+                    (np.full((n, n), np.nan), False)):
+        assert _packable(v) == packable(v) == want
+
+
+@pytest.mark.parametrize("n", [64, 65, 160, 161])
+def test_half_grid_equals_whole_grid_unpack(n):
+    # the unpack from top rows, bit for bit the mirrored-then-transposed
+    # formula it replaces
+    q = np.random.default_rng(7000 + n).standard_normal((n, n))
+    top = (q + q[::-1, ::-1])[:n - n // 2]
+    assert np.array_equal(_half_grid(top), half_grid(top))
+
+
+@pytest.mark.parametrize("n", [64, 65, 160, 161])
+@pytest.mark.parametrize("separation", [1.0, 1.37, 0.0])
+def test_packed_probe_matches_four_products(n, separation):
+    # G = W^T Q W from two products against four Q w products
+    spec = CatStateSpec(separation=separation, width=0.5)
+    top = _packed_top(_coarse_cat(n, spec, 8.0) + 1e-2 * _HERMITIAN_MIRROR[n])
+    probe = _cat_probe(_dst_matrix(n), (-4.0, 4.0), spec)
+    packed = None
+    if probe is not None:
+        w = np.stack(probe, axis=1)
+        packed = (w, np.ascontiguousarray(w[::-1]))
+    got, want = _half_visibility(top, packed), half_visibility(top, probe)
+    assert got == pytest.approx(want, rel=1e-14, abs=0.0)
+    if probe is None:
+        assert got == want == 1.0
 
 
 @pytest.mark.parametrize("n", [64, 65, 160, 161])
@@ -639,7 +714,7 @@ def test_half_path_diagnostics_match_full_grid(n):
         assert run.herm_residual[k] == pytest.approx(
             hermiticity_residual(grid), rel=1e-13)
         assert run.visibility[k] == pytest.approx(
-            _visibility(grid.values, grid.extent, spec), rel=1e-13)
+            fringe_visibility(grid, spec), rel=1e-13)
 
 
 @pytest.mark.parametrize("n", [160, 161])

@@ -150,6 +150,22 @@ def test_batch_matches_one_interval_calls():
         assert abs(values[i] - ref) <= max(10.0 * errors[i], 1e-14), i
 
 
+def test_batch_max_width_is_per_interval():
+    # one panel cap per interval, as in one integrate call each; the empty
+    # interval among them keeps its cap from shifting onto the next one
+    f = lambda x: np.cos(40.0 * x) * np.exp(-x)
+    widths = [np.pi / 40.0, 1e-3, 0.5, np.pi / 400.0]
+    a, b = [0.0, 5.0, 0.0, 0.0], [10.0, 5.0, 10.0, 10.0]
+    values, errors = quadrature.integrate_batch(
+        lambda x, _: f(x), a, b, max_width=widths, abs_tol=1e-13,
+        rel_tol=0.0)
+    for i, width in enumerate(widths):
+        single, single_err = integrate(f, a[i], b[i], max_width=width,
+                                       abs_tol=1e-13, rel_tol=0.0)
+        assert abs(values[i] - single) <= 1e-15 * abs(single), i
+        assert errors[i] == pytest.approx(single_err, rel=1e-12), i
+
+
 def test_batch_tolerance_is_per_interval():
     # the same integrand at a loose and a tight tolerance in one call
     f = lambda x: np.sin(3.0 * x) ** 2 / (1.0 + x)

@@ -3,6 +3,7 @@
 CLI tests drive ``qbmlab.cli.main`` in-process with argv lists; nothing
 here shells out.
 """
+import hashlib
 import json
 
 import numpy as np
@@ -11,8 +12,9 @@ import pytest
 from qbmlab import cli
 from qbmlab.coefficients import alpha_theory
 from qbmlab.params import BathParams, SystemParams
-from qbmlab.scenarios import (ScenarioConfig, load_config, run_scenario,
-                              save_config)
+from qbmlab.scenarios import (SCENARIOS, ScenarioConfig, load_config,
+                              run_scenario)
+from references import save_config
 
 SYS = SystemParams()
 BATH = BathParams(gamma=0.05, cutoff=200.0, kT=0.0)
@@ -97,10 +99,32 @@ def test_manifest_echoes_config_and_hashes_outputs(tmp_path):
     assert "output_dir" not in echo
     on_disk = json.loads((out / "manifest.json").read_text())
     assert on_disk == manifest
-    import hashlib
     for entry in manifest["files"]:
         digest = hashlib.sha256((out / entry["path"]).read_bytes())
         assert digest.hexdigest() == entry["sha256"]
+
+
+# full_vs_dephasing on a coarser grid: a fast run that still covers the
+# fit window, so it writes all three of its files
+_SMALL = {"full_vs_dephasing": {"grid_n": 128, "grid_extent": 6.0,
+                                "separation": 1.0, "record_every": 50}}
+
+
+@pytest.mark.parametrize("scenario", SCENARIOS)
+def test_manifest_sha256_matches_each_file_on_disk(tmp_path, scenario):
+    # the writers hash the bytes they write; the manifest lists exactly
+    # the files written, each with the sha256 of what is on disk
+    out = tmp_path / scenario
+    manifest = run_scenario(ScenarioConfig(
+        scenario=scenario, params=_SMALL.get(scenario, {}),
+        output_dir=str(out)))
+    written = {p.relative_to(out).as_posix() for p in out.rglob("*")
+               if p.is_file()}
+    assert {e["path"] for e in manifest["files"]} == written - {
+        "manifest.json"}
+    for entry in manifest["files"]:
+        digest = hashlib.sha256((out / entry["path"]).read_bytes())
+        assert digest.hexdigest() == entry["sha256"], entry["path"]
 
 
 def test_full_scenario_warns_when_separation_under_coherence_length(tmp_path):
