@@ -26,7 +26,6 @@ from .quadrature import REL_TOL
 __all__ = ["main"]
 
 _PARAM_KEYS = tuple(scenarios._BASE)
-_FMT = "{:.12e}"
 
 
 def _say(args, text: str) -> None:
@@ -38,15 +37,6 @@ def _jsonable(value):
     if isinstance(value, float) and math.isinf(value):
         return None
     return value
-
-
-def _write_csv(path: Path, header: str, rows) -> None:
-    path.parent.mkdir(parents=True, exist_ok=True)
-    with open(path, "w", encoding="utf-8", newline="") as fh:
-        fh.write(header + "\n")
-        for row in rows:
-            fh.write(",".join(_FMT.format(c) if isinstance(c, float) else
-                              str(c) for c in row) + "\n")
 
 
 def _params_from(args) -> tuple[SystemParams, BathParams]:
@@ -106,9 +96,10 @@ def _cmd_kernel(args) -> int:
     trace = kernels.kernel_trace(sysp, bath, s_grid, method=args.method)
 
     out = Path(args.out)
-    _write_csv(out / "kernel.csv", "s,nu,method",
-               [(float(s), float(v), trace.method)
-                for s, v in zip(trace.s_grid, trace.values)])
+    scenarios._write_text(out / "kernel.csv", scenarios._csv_text(
+        "s,nu,method", [(float(s), float(v), trace.method)
+                        for s, v in zip(trace.s_grid, trace.values)],
+        scenarios._FLOAT_FMT))
 
     # Cross-check against an independent path where one exists: at kT = 0
     # the closed form and the quadrature check each other; at kT > 0 the
@@ -151,9 +142,10 @@ def _cmd_coeffs(args) -> int:
                                               method=trace.method)
 
     out = Path(args.out)
-    _write_csv(out / "coeffs.csv", "t,D,theta,method",
-               [(float(t), float(d), float(th), trace.method)
-                for t, d, th in zip(t_grid, diff, trace.theta)])
+    scenarios._write_text(out / "coeffs.csv", scenarios._csv_text(
+        "t,D,theta,method", [(float(t), float(d), float(th), trace.method)
+                             for t, d, th in zip(t_grid, diff, trace.theta)],
+        scenarios._FLOAT_FMT))
     _say(args, f"wrote {out / 'coeffs.csv'}")
     return 0
 
@@ -190,11 +182,10 @@ def _cmd_evolve(args) -> int:
     result = evolution.evolve_full(rho0, sysp, bath, cfg, cat_spec=spec)
 
     out = Path(args.out)
-    _write_csv(out / "evolve.csv", "t,visibility,trace,herm_residual,purity",
-               [(float(result.times[i]), float(result.visibility[i]),
-                 float(result.trace[i]), float(result.herm_residual[i]),
-                 float(result.purity[i]))
-                for i in range(len(result.times))])
+    scenarios._write_text(out / "evolve.csv", scenarios._csv_text(
+        "t,visibility,trace,herm_residual,purity",
+        zip(result.times, result.visibility, result.trace,
+            result.herm_residual, result.purity), scenarios._FLOAT_FMT))
     _say(args, f"wrote {out / 'evolve.csv'} (dt = {dt:.6g}, "
                f"{len(result.times)} steps)")
     if args.snapshots:

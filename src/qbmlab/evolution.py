@@ -15,21 +15,21 @@ Two evolution paths:
   with the centered second difference and Dirichlet-zero boundaries for
   d^2/dx^2.  Each step is D/2 K D/2, and every substep is exact: the
   potential and diffusion terms act elementwise, and the kinetic term is
-  diagonal in the DST-I basis.  The kinetic flow is applied in the
-  grid's mirror-parity basis, where it splits into two half-size blocks.
-  A run whose state is Hermitian and mirror-symmetric, such as a cat
-  centred on its grid, holds the top half of one real matrix,
-  Re rho + Im rho: its kinetic flow is eight real (n/2)^3 products,
-  every other substep and diagnostic reads n/2 real rows, and the
-  complex grid is built only for snapshots.  No step allocates a full
-  grid.  The two parity blocks of that flow share no data between the
-  fold and the unfold, so the odd block runs on a worker thread while
-  the calling thread runs the even one, each with the same arithmetic
-  as in turn, so the results are bit-identical.  The worker is one
-  thread per process, started by the first packed flow, not at import,
-  and a child forked after that starts its own.  Individual terms can
-  be toggled off (``TermToggles``) to compare limits against closed
-  forms.
+  diagonal in the DST-I basis.  Every term keeps rho Hermitian, so a run
+  holds one real matrix, Q = Re rho + Im rho, and builds the complex
+  grid only for snapshots; rho0 must be exactly Hermitian.  The kinetic
+  flow on Q is four real n^3 products.  A state that is also
+  mirror-symmetric, such as a cat centred on its grid, holds only Q's
+  top n - n//2 rows: its kinetic flow splits into an even and an odd
+  block of DST-I modes, eight real (n/2)^3 products, and every other
+  substep and diagnostic reads n/2 rows.  No step allocates a full
+  grid.  The two blocks share no data between the fold and the unfold,
+  so the odd block runs on a worker thread while the calling thread
+  runs the even one, each with the same arithmetic as in turn, so the
+  results are bit-identical.  The worker is one thread per process,
+  started by the first mirror flow, not at import, and a child forked
+  after that starts its own.  Individual terms can be toggled off
+  (``TermToggles``) to compare limits against closed forms.
 
 A grid-free exact route covers the free particle at kT = 0 with only the
 kinetic and diffusion terms acting: ``free_cat_log_rho`` and
@@ -153,7 +153,7 @@ class EvolutionResult:
     """Per-step scalar diagnostics plus periodic full-grid snapshots."""
     times: np.ndarray
     trace: np.ndarray
-    herm_residual: np.ndarray
+    herm_residual: np.ndarray   # 0: the packed state is Hermitian
     purity: np.ndarray
     visibility: np.ndarray      # NaN when no CatStateSpec was supplied
     snapshots: list
@@ -328,66 +328,6 @@ def _laplacian_eigenvalues(n: int, dx: float) -> np.ndarray:
     return -4.0 * np.sin(0.5 * np.pi * m / (n + 1)) ** 2 / (dx * dx)
 
 
-def _parity_blocks(s: np.ndarray, e: np.ndarray) -> tuple:
-    """U = S diag(e) S in the mirror-parity basis, for _kinetic_flow.
-
-    The Dirichlet-zero second difference commutes with the grid's mirror
-    x_i <-> x_{n-1-i}, and the DST-I modes 1, 3, ... are even under it and
-    2, 4, ... odd.  With P the unnormalised fold (rows top + J bottom, the
-    middle row when n is odd, top - J bottom; J the row reversal),
-    U = P^T V P with V block-diagonal:
-    V+ = S[:m, 0::2] diag(e[0::2]) S[:m, 0::2]^T, m = n - n//2, and
-    V- = S[:h, 1::2] diag(e[1::2]) S[:h, 1::2]^T, h = n//2, both
-    complex-symmetric.  Returns (V+, V-, conj V+, conj V-)."""
-    n = s.shape[0]
-    h, m = n // 2, n - n // 2
-
-    def block(b, p):    # two real products, not one complex by real
-        return (b * p.real) @ b.T + 1j * ((b * p.imag) @ b.T)
-
-    vp, vm = block(s[:m, 0::2], e[0::2]), block(s[:h, 1::2], e[1::2])
-    return vp, vm, vp.conj(), vm.conj()
-
-
-def _fold(v: np.ndarray, scratch: np.ndarray) -> None:
-    """v <- P v in place (rows top + J bottom, middle, top - J bottom);
-    scratch is an (n//2, n) array."""
-    h = v.shape[0] // 2
-    m = v.shape[0] - h
-    np.copyto(scratch, v[m:][::-1])
-    np.subtract(v[:h], scratch, out=v[m:])
-    np.add(v[:h], scratch, out=v[:h])
-
-
-def _unfold(v: np.ndarray, scratch: np.ndarray) -> None:
-    """v <- P^T v in place, the adjoint of _fold (P P^T = 2 on the paired
-    rows and 1 on the middle one, so this is not its inverse)."""
-    h = v.shape[0] // 2
-    m = v.shape[0] - h
-    np.subtract(v[:h], v[m:], out=scratch)
-    np.add(v[:h], v[m:], out=v[:h])
-    np.copyto(v[m:], scratch[::-1])
-
-
-def _kinetic_flow(rho: np.ndarray, buf: np.ndarray, scratch: np.ndarray,
-                  blocks: tuple) -> None:
-    """rho <- U rho U^H in place, with U given by _parity_blocks.
-
-    U rho U^H = (P^T conj(V) P (U rho)^T)^T, because V^T = V: a fold, the
-    two row blocks' products with V, an unfold and a transpose, then the
-    same with conj(V).  Four half-size products in place of two full
-    ones, and no temporary: buf (n, n) and scratch (n//2, n) are
-    overwritten."""
-    m = rho.shape[0] - rho.shape[0] // 2
-    vp, vm, vp_conj, vm_conj = blocks
-    for even, odd in ((vp, vm), (vp_conj, vm_conj)):
-        _fold(rho, scratch)
-        np.matmul(even, rho[:m], out=buf[:m])
-        np.matmul(odd, rho[m:], out=buf[m:])
-        _unfold(buf, scratch)
-        np.copyto(rho, buf.T)
-
-
 def _mirror_symmetric(v: np.ndarray) -> bool:
     """Whether v equals its mirror image exactly (J v J for a grid, with J
     the mirror x_i <-> x_{n-1-i}; v reversed for a vector).  Never true
@@ -407,11 +347,17 @@ def _packable(v: np.ndarray) -> bool:
                 and np.array_equal(top, v[:, :m].T.conj()))
 
 
+def _flow_block(b: np.ndarray, left: np.ndarray, theta: np.ndarray) -> tuple:
+    """(B, L, cos, sin) of one _block_flow: the real modes B, the left
+    factor L, and cos and sin of theta_j - theta_k over B's modes."""
+    diff = np.subtract.outer(theta, theta)
+    return b, left, np.cos(diff), np.sin(diff)
+
+
 def _half_blocks(s: np.ndarray, theta: np.ndarray) -> tuple:
-    """_half_flow's (B, L, cos, sin) per parity block: the real modes B
-    (S[:m, 0::2], then S[:h, 1::2]), L = B^T scaled for the row fold
-    (by diag(2, .., 2, 1), then 2), and cos and sin of theta_j - theta_k
-    over the block's modes, theta the phase of _parity_blocks' e."""
+    """_half_flow's _flow_block per parity: the real modes B (S[:m, 0::2],
+    then S[:h, 1::2]) and L = B^T scaled for the row fold (by
+    diag(2, .., 2, 1), then 2), theta the kinetic phase of each mode."""
     n = s.shape[0]
     h, m = n // 2, n - n // 2
     fold = np.full(m, 2.0)
@@ -420,15 +366,14 @@ def _half_blocks(s: np.ndarray, theta: np.ndarray) -> tuple:
     for b, scale, t in ((s[:m, 0::2], fold, theta[0::2]),
                         (s[:h, 1::2], 2.0, theta[1::2])):
         b = np.ascontiguousarray(b)
-        diff = np.subtract.outer(t, t)
-        blocks.append((b, np.ascontiguousarray(b.T * scale), np.cos(diff),
-                       np.sin(diff)))
+        blocks.append(_flow_block(b, np.ascontiguousarray(b.T * scale), t))
     return tuple(blocks)
 
 
 def _block_flow(g: np.ndarray, tmp: np.ndarray, block: tuple) -> None:
     """g <- B (G o cos + G^T o sin) B^T with G = L g B, in place, for one
-    parity block (B, L, cos, sin) of _half_blocks; tmp is overwritten."""
+    block (B, L, cos, sin) of _flow_block: all of Q with B = L = S, or a
+    parity block of _half_blocks; tmp is overwritten."""
     b, left, cos, sin = block
     np.matmul(left, g, out=tmp)
     np.matmul(tmp, b, out=g)
@@ -465,22 +410,25 @@ os.register_at_fork(after_in_child=_forget_worker)
 
 
 def _half_flow(top: np.ndarray, work: tuple, blocks: tuple) -> None:
-    """top <- the top rows of pack(U rho U^H), in place, for a Hermitian
-    rho = J rho J held as the top m = n - n//2 rows of the real
+    """top <- the top rows of Q' = pack(U rho U^H), in place, for a
+    Hermitian rho = J rho J held as the top m = n - n//2 rows of the real
     Q = pack(rho) = Re rho + Im rho; blocks come from _half_blocks, and
     work holds two (m, m) and two (h, h) real arrays, h = n//2, which are
-    overwritten.  pack commutes with every real linear map.
+    overwritten.
 
-    U rho U^H = P^T V R conj(V) P with R = P rho P^T (_parity_blocks).
-    With C = rho P^T, the column fold of rho, J rho J = rho gives
-    C[n-1-i] = C[i] S, with S = +1 on the even and -1 on the odd columns.
-    So R's cross-parity blocks vanish, and R++ = diag(2, .., 2, 1) C++,
-    R-- = 2 C[:h, m:], both from the top rows alone (the 1 is the middle
-    row when n is odd); the 2s are folded into L.  Per block,
-    X = V R conj(V) = B (G o Phi) B^T with the Hermitian G = L C B,
-    Phi_jk = exp(i (theta_j - theta_k)) and pack(G o Phi) =
-    pack(G) o cos + pack(G)^T o sin.  The top rows of P^T X P are the
-    column unfold of [X+ | X-] (for odd n, the middle row of X+ alone).
+    Q' = S (G o cos + G^T o sin) S with G = S Q S (evolve_full).  The
+    DST-I modes S[:, 0::2] are even under J and S[:, 1::2] odd, so
+    Q = J Q J gives G no cross-parity block, and each parity's block
+    reads Q's top rows alone.  With C+ the top rows' first h columns
+    plus their mirror columns (column n-1-j for column j), and the middle
+    column once when n is odd, and C- the first h of those rows with the
+    mirror columns subtracted, G+ = B+^T diag(2, .., 2, 1) C+ B+ and
+    G- = 2 B-^T C- B-, B+ = S[:m, 0::2] and B- = S[:h, 1::2]; the 1 is
+    the middle row when n is odd, and the scaled B^T is _half_blocks'
+    L.  _block_flow then forms X = B (G o cos + G^T o sin) B^T, the
+    corner of that parity's part of Q' whose mirror images are the rest:
+    Q'[:h, :h] = X+[:h, :h] + X-, their difference is the mirrored
+    columns, and for odd n the middle row and column come from X+ alone.
     The rebuilt Q is exactly mirror-symmetric.
 
     The odd block's X runs on the worker thread of _block_worker while
@@ -522,29 +470,32 @@ def _half_bottom(top: np.ndarray) -> np.ndarray:
     return top[:top.shape[1] // 2][::-1, ::-1]
 
 
-def _half_transpose(top: np.ndarray, out: np.ndarray) -> np.ndarray:
-    """The top rows of v^T into out, from the top rows of v = J v J: its
-    bottom rows' first columns read through the mirror."""
-    m = top.shape[0]
-    np.copyto(out[:, :m], top[:, :m].T)
-    np.copyto(out[:, m:], _half_bottom(top)[:, :m].T)
+def _packed_transpose(q: np.ndarray, out: np.ndarray) -> np.ndarray:
+    """The rows of Q^T that q holds into out, q being all n rows of Q or
+    the top m rows of Q = J Q J; then Q's bottom rows' first columns are
+    read through the mirror."""
+    m = q.shape[0]
+    np.copyto(out[:, :m], q[:, :m].T)
+    if m < q.shape[1]:
+        np.copyto(out[:, m:], _half_bottom(q)[:, :m].T)
     return out
 
 
-def _half_grid(top: np.ndarray) -> np.ndarray:
+def _unpack(q: np.ndarray) -> np.ndarray:
     """The exactly Hermitian (n, n) grid (Q + Q^T)/2 + i (Q - Q^T)/2 of a
-    packed state (_half_flow) from Q's top rows: its top rows from Q/2
-    and Q^T/2 (_half_transpose), and its bottom rows as their mirror
-    image."""
-    n, m = top.shape[1], top.shape[0]
+    packed state from q, all of Q or its top rows (_packed_transpose):
+    the rows q holds from Q/2 and Q^T/2, and for top rows the bottom
+    rows as their mirror image."""
+    m, n = q.shape
     rho = np.empty((n, n), dtype=complex)
     re, im = rho.real[:m], rho.imag[:m]
-    half_tr = _half_transpose(top, np.empty_like(top))
+    half_tr = _packed_transpose(q, np.empty_like(q))
     np.multiply(half_tr, 0.5, out=half_tr)
-    np.multiply(top, 0.5, out=im)
+    np.multiply(q, 0.5, out=im)
     np.add(im, half_tr, out=re)
     np.subtract(im, half_tr, out=im)
-    rho[m:] = _half_bottom(rho[:m])
+    if m < n:
+        rho[m:] = _half_bottom(rho[:m])
     return rho
 
 
@@ -592,29 +543,22 @@ def _cat_probe(s: np.ndarray, extent: tuple[float, float],
             _sine_weights(s, extent, spec.grid_center - 0.5 * spec.separation))
 
 
-def _probe_visibility(v: np.ndarray, probe) -> float:
-    """2|rho(x+, x-)| / (rho(x+, x+) + rho(x-, x-)) of the grid values v
-    at the weights of _cat_probe."""
-    if probe is None:
-        return 1.0
-    wp, wm = probe
-    vp, vm = v @ wp, v @ wm
-    return 2.0 * abs(wp @ vm) / ((wp @ vp).real + (wm @ vm).real)
-
-
-def _half_visibility(top: np.ndarray, probe) -> float:
-    """_probe_visibility of a packed state (_half_flow) from Q's top rows,
-    through the 2 x 2 matrix G = W^T Q W of W = [w+ w-], the weights of
-    _cat_probe; probe is (W, Wr) with Wr = J W, or None.  With Q's bottom
-    rows the mirror of its top ones, G = W[:m]^T (top W) + Wr[:h]^T
-    (top[:h] Wr): one (m, n) and one (h, n) product by an (n, 2) matrix.
-    w.Q w = w.rho w, and |rho(x+, x-)| = sqrt((a^2 + b^2)/2) with
-    a = G[0, 1] and b = G[1, 0]."""
+def _packed_visibility(q: np.ndarray, probe) -> float:
+    """2|rho(x+, x-)| / (rho(x+, x+) + rho(x-, x-)) of a packed state from
+    q, all of Q or its top rows (_packed_transpose), through the 2 x 2
+    matrix G = W^T Q W of W = [w+ w-], the weights of _cat_probe; probe
+    is (W, Wr) with Wr = J W, or None.  All rows: G = W^T (q W).  Top
+    rows: Q's bottom rows are the mirror of q's, so G = W[:m]^T (q W) +
+    Wr[:h]^T (q[:h] Wr), one (m, n) and one (h, n) product by an (n, 2)
+    matrix.  w.Q w = w.rho w, and |rho(x+, x-)| = sqrt((a^2 + b^2)/2)
+    with a = G[0, 1] and b = G[1, 0]."""
     if probe is None:
         return 1.0
     w, w_rev = probe
-    m, h = top.shape[0], top.shape[1] // 2
-    g = w[:m].T @ (top @ w) + w_rev[:h].T @ (top[:h] @ w_rev)
+    m, n = q.shape
+    g = w[:m].T @ (q @ w)
+    if m < n:
+        g += w_rev[:n // 2].T @ (q[:n // 2] @ w_rev)
     return (2.0 * math.sqrt(0.5) * math.hypot(g[0, 1], g[1, 0])
             / (g[0, 0] + g[1, 1]))
 
@@ -647,8 +591,7 @@ def suggest_timestep(sys: SystemParams, bath: BathParams, separation: float,
 
 def evolve_full(rho0: DensityGrid, sys: SystemParams, bath: BathParams,
                 cfg: EvolveConfig, *, terms: TermToggles | None = None,
-                cat_spec: CatStateSpec | None = None,
-                diagnostics: bool = True) -> EvolutionResult:
+                cat_spec: CatStateSpec | None = None) -> EvolutionResult:
     """Strang-split run from rho0.time to rho0.time + t_end.
 
     Each step of length h is D(h/2) K(h) D(h/2), and each substep is the
@@ -665,48 +608,56 @@ def evolve_full(rho0: DensityGrid, sys: SystemParams, bath: BathParams,
       grid's centre plus the exactly antisymmetric offsets
       (i - (n-1)/2) dx, so x^2 is exactly mirror-symmetric on a grid
       centred at 0.
-    * K is the kinetic flow, S [(S rho S) * exp(i hbar h (lam_i - lam_j) /
-      2M)] S, with S the DST-I matrix and lam the eigenvalues of the
-      Dirichlet-zero second difference.  The phase matrix is the outer
-      product of e = exp(i hbar h lam / 2M) with its conjugate, so this
-      is U rho U^H with U = S diag(e) S.  U commutes with the grid's
-      mirror, so it is applied as P^T V P with P the parity fold and V
-      two complex-symmetric blocks of half size (_parity_blocks): four
-      (n/2, n/2, n) products per step in place of two (n, n, n) ones.
+    * K is the kinetic flow, S [(S rho S) * exp(i hbar h (lam_j - lam_k) /
+      2M)] S, with S the symmetric, orthogonal DST-I matrix and lam the
+      eigenvalues of the Dirichlet-zero second difference: U rho U^H
+      with U = S diag(exp(i theta)) S, theta = hbar h lam / 2M.
 
-    The path is decided once: when rho0 equals J rho0 J (J the mirror
-    x_i <-> x_{n-1-i}) and rho0^H exactly, as a centred cat does, and the
-    potential, if on, is mirror-symmetric too, every substep keeps both.
-    Both are tested on rho0's top n - n//2 rows, which imply them for the
-    whole grid (_packable).
-    Such a run holds the top n - n//2 rows of the real Q = Re rho + Im rho
-    (Re rho = (Q + Q^T)/2, Im rho = (Q - Q^T)/2): K is eight real
-    (n/2)^3 products (_half_flow), four per parity block, the odd
-    block's on one worker thread while the calling thread does the even
-    block's; the worker is made by the process's first packed flow, and
-    made again in a child forked after it.  D multiplies by the real
-    diffusion factor, or by the Hermitian f as Q o Re f + Q^T o Im f, the
-    trace is Q's diagonal, the purity the sum of Q^2, and the visibility
-    comes from the 2 x 2 matrix W^T Q W of the two probe weights
-    W = [w+ w-] (_half_visibility).  The hermiticity residual is 0 by
-    construction, recorded and not computed.  Only snapshots unpack to
-    the complex grid, building its top rows from Q/2 and Q^T/2 and its
-    bottom rows as their mirror image (_half_grid); ``snapshots[0]`` is
-    rho0 itself, on either path.  ``mirror_steps`` counts the kinetic
-    substeps taken that way.  Any other state runs the full grid.
+    Every substep keeps rho Hermitian, so the run holds the real
+    Q = pack(rho) = Re rho + Im rho, with Re rho = (Q + Q^T)/2 and
+    Im rho = (Q - Q^T)/2; pack commutes with every real linear map.  For
+    a Hermitian G and Phi_jk = exp(i (theta_j - theta_k)),
+    pack(G o Phi) = pack(G) o cos + pack(G)^T o sin, so K is
+    Q <- S (G o cos + G^T o sin) S with G = S Q S: four real n^3
+    products (_block_flow over one block, B = L = S).  D multiplies by
+    the real diffusion factor, or by the Hermitian f as
+    Q o Re f + Q^T o Im f.  The trace is Q's diagonal, the purity the
+    sum of Q^2, and the visibility comes from the 2 x 2 matrix W^T Q W of
+    the two probe weights W = [w+ w-] (_packed_visibility).  The
+    hermiticity residual is 0 by construction, recorded and not
+    computed.  Only snapshots unpack to the complex grid (_unpack);
+    ``snapshots[0]`` is rho0 itself.
+
+    The row count is decided once: when rho0 also equals J rho0 J (J the
+    mirror x_i <-> x_{n-1-i}), as a centred cat does, and the potential,
+    if on, is mirror-symmetric too, every substep keeps that symmetry.
+    Both symmetries are tested on rho0's top n - n//2 rows, which imply
+    them for the whole grid (_packable).  Such a run holds Q's top
+    n - n//2 rows: K is eight real (n/2)^3 products (_half_flow), four
+    per parity block, the odd block's on one worker thread while the
+    calling thread does the even block's; the worker is made by the
+    process's first mirror flow, and made again in a child forked after
+    it.  Every other substep and diagnostic reads those rows through the
+    mirror, and the unpack writes the bottom rows as the top rows'
+    mirror image.  ``mirror_steps`` counts the kinetic substeps taken
+    that way.
 
     Every substep and diagnostic works in place in a fixed set of arrays.
     Scalar diagnostics (trace, hermiticity residual, purity, visibility
-    read by the sine-series interpolant) are appended every step; with
-    ``diagnostics=False`` only the purity is, which the finiteness guard
-    computes anyway, and the trace, residual and visibility entries are
-    NaN.  Full grids are kept every ``record_every`` steps plus the
-    initial and final states.  Raises RuntimeError when Theta is not
-    finite, or when the state turns non-finite (with the step index).
+    read by the sine-series interpolant) are appended every step.  Full
+    grids are kept every ``record_every`` steps plus the initial and
+    final states.  Raises ValueError when rho0 is not exactly Hermitian,
+    and RuntimeError when Theta is not finite, or when the state turns
+    non-finite (with the step index).
     """
     if terms is None:
         terms = TermToggles()
     n, dx, t0 = rho0.n, rho0.dx, rho0.time
+    v = rho0.values
+    mirror = _packable(v)
+    if not mirror and not np.array_equal(v, v.conj().T):
+        raise ValueError("rho0 must be exactly Hermitian: max|rho0 - "
+                         f"rho0^H| = {np.abs(v - v.conj().T).max():.3g}")
     n_steps = max(1, int(math.ceil(cfg.t_end / cfg.dt - 1e-12)))
     elapsed = np.arange(n_steps + 1) * cfg.dt
     elapsed[-1] = cfg.t_end
@@ -731,8 +682,7 @@ def evolve_full(rho0: DensityGrid, sys: SystemParams, bath: BathParams,
         x = 0.5 * (rho0.extent[0] + rho0.extent[1]) \
             + (np.arange(n) - 0.5 * (n - 1)) * dx
         x2 = x * x
-    v = rho0.values
-    half = _packable(v) and (x2 is None or _mirror_symmetric(x2))
+    half = mirror and (x2 is None or _mirror_symmetric(x2))
     rows = n - n // 2 if half else n
     # -(x_i - x_j)^2 / hbar depends on i - j alone: a (2n - 1)-line, read
     # as an (n, n) Toeplitz view, exactly symmetric in i - j
@@ -748,8 +698,8 @@ def evolve_full(rho0: DensityGrid, sys: SystemParams, bath: BathParams,
     s = _dst_matrix(n) if terms.kinetic or cat_spec is not None else None
     probe = None if cat_spec is None else _cat_probe(s, rho0.extent,
                                                      cat_spec)
-    if half and probe is not None:
-        # W = [w+ w-] and its row reversal, for _half_visibility
+    if probe is not None:
+        # W = [w+ w-] and its row reversal, for _packed_visibility
         w = np.stack(probe, axis=1)
         probe = (w, np.ascontiguousarray(w[::-1]))
     if terms.kinetic:
@@ -758,7 +708,7 @@ def evolve_full(rho0: DensityGrid, sys: SystemParams, bath: BathParams,
         def propagator(h: float):
             theta = (0.5 * sys.hbar * h / sys.mass) * lam
             return (_half_blocks(s, theta) if half
-                    else _parity_blocks(s, np.exp(1j * theta)))
+                    else _flow_block(s, s, theta))
 
         kinetic = [propagator(cfg.dt)] * n_steps
         # t_end - (n_steps - 1) dt is off dt by rounding alone when
@@ -768,23 +718,19 @@ def evolve_full(rho0: DensityGrid, sys: SystemParams, bath: BathParams,
             kinetic[-1] = propagator(h_last)
 
     # the step's work arrays; no substep or record allocates a full grid
-    rho = v[:rows].real + v[:rows].imag if half else v.copy()
-    buf = np.empty_like(rho)
-    work = np.empty(rho.shape)
-    # the potential's complex factor; buf on the full grid
-    f = np.empty(rho.shape, complex) if half and x2 is not None else buf
+    q = v[:rows].real + v[:rows].imag
+    work = np.empty_like(q)
+    f = None if potential is None else np.empty(q.shape, complex)
     if not terms.kinetic:
         flow = None
     elif half:
         flow_work = _half_work(n)
 
         def flow(blocks: tuple) -> None:
-            _half_flow(rho, flow_work, blocks)
+            _half_flow(q, flow_work, blocks)
     else:
-        scratch = np.empty((n // 2, n), dtype=complex)
-
-        def flow(blocks: tuple) -> None:
-            _kinetic_flow(rho, buf, scratch, blocks)
+        def flow(block: tuple) -> None:
+            _block_flow(q, work, block)
 
     def dephase(j: int) -> None:
         if potential is not None:
@@ -792,50 +738,30 @@ def evolve_full(rho0: DensityGrid, sys: SystemParams, bath: BathParams,
             np.multiply(neg_q2, d_theta[j], out=work)
             np.add(work, f, out=f)
             np.exp(f, out=f)
-            if half:
-                # f is Hermitian: rho o f packs to Q o Re f + Q^T o Im f
-                np.multiply(_half_transpose(rho, work), f.imag, out=work)
-                np.multiply(rho, f.real, out=rho)
-                np.add(rho, work, out=rho)
-            else:
-                np.multiply(rho, f, out=rho)
+            # f is Hermitian: rho o f packs to Q o Re f + Q^T o Im f
+            np.multiply(_packed_transpose(q, work), f.imag, out=work)
+            np.multiply(q, f.real, out=q)
+            np.add(q, work, out=q)
         elif d_theta[j] != 0.0:
             np.multiply(neg_q2_line, d_theta[j], out=factor_line)
             np.exp(factor_line, out=factor_line)
             # a ufunc would buffer the strided view; a contiguous copy
             # multiplies to the same bits without that
-            np.copyto(buf, factor)
-            np.multiply(rho, buf, out=rho)
+            np.copyto(work, factor)
+            np.multiply(q, work, out=q)
 
-    traces, residuals, purities, visibilities = [], [], [], []
+    traces, purities, visibilities = [], [], []
 
     def record() -> float:
-        norm2 = _half_norm2(rho) if half else float(np.vdot(rho, rho).real)
-        purities.append(norm2 * dx * dx)
-        if not diagnostics:
-            traces.append(math.nan)
-            residuals.append(math.nan)
-            visibilities.append(math.nan)
-        elif half:
-            traces.append(_half_trace(rho) * dx)
-            residuals.append(0.0)
-            visibilities.append(math.nan if cat_spec is None
-                                else _half_visibility(rho, probe))
+        if half:
+            trace, norm2 = _half_trace(q), _half_norm2(q)
         else:
-            traces.append(float(np.sum(rho.diagonal().real) * dx))
-            # copied first: conjugating the transposed view would buffer it
-            np.copyto(buf, rho.T)
-            np.conjugate(buf, out=buf)
-            np.subtract(rho, buf, out=buf)
-            residuals.append(float(np.abs(buf, out=work).max()))
-            visibilities.append(math.nan if cat_spec is None
-                                else _probe_visibility(rho, probe))
+            trace, norm2 = float(np.sum(q.diagonal())), float(np.vdot(q, q))
+        traces.append(trace * dx)
+        purities.append(norm2 * dx * dx)
+        visibilities.append(math.nan if cat_spec is None
+                            else _packed_visibility(q, probe))
         return purities[-1]
-
-    def snap(t: float) -> DensityGrid:
-        return DensityGrid(n=n, extent=rho0.extent,
-                           values=_half_grid(rho) if half else rho.copy(),
-                           time=t)
 
     record()
     snapshots = [rho0]
@@ -851,12 +777,14 @@ def evolve_full(rho0: DensityGrid, sys: SystemParams, bath: BathParams,
                 f"non-finite values detected at step {k} "
                 f"(t = {times[k]:.6g})")
         if k % cfg.record_every == 0 or k == n_steps:
-            snapshots.append(snap(float(times[k])))
+            snapshots.append(DensityGrid(n=n, extent=rho0.extent,
+                                         values=_unpack(q),
+                                         time=float(times[k])))
             snapshot_steps.append(k)
 
     return EvolutionResult(
         times=times, trace=np.asarray(traces),
-        herm_residual=np.asarray(residuals), purity=np.asarray(purities),
+        herm_residual=np.zeros_like(times), purity=np.asarray(purities),
         visibility=np.asarray(visibilities), snapshots=snapshots,
         snapshot_steps=snapshot_steps,
         mirror_steps=n_steps if half and flow is not None else 0)

@@ -138,10 +138,13 @@ def _write_text(path: Path, text: str) -> str:
     return hashlib.sha256(data).hexdigest()
 
 
-def _trace_csv(times, values) -> str:
-    lines = ["t,coherence"]
-    for t, v in zip(times, values):
-        lines.append(_FLOAT_FMT.format(t) + "," + _FLOAT_FMT.format(v))
+def _csv_text(header: str, rows, fmt: str) -> str:
+    """The header line, then one line per row: floats formatted with fmt,
+    other values with str."""
+    lines = [header]
+    for row in rows:
+        lines.append(",".join(fmt.format(c) if isinstance(c, float)
+                              else str(c) for c in row))
     return "\n".join(lines) + "\n"
 
 
@@ -184,8 +187,9 @@ def _run_zero_temperature(cfg: ScenarioConfig, out_dir: Path) -> dict:
     d = p["separation"]
     times = np.geomspace(p["t_lo"], p["t_hi"], int(p["n_points"]))
     coh = _coherence_from_exponent(sysp, bath, times, d)
-    files = {"trace.csv": _write_text(out_dir / "trace.csv",
-                                      _trace_csv(times, coh))}
+    files = {"trace.csv": _write_text(
+        out_dir / "trace.csv",
+        _csv_text("t,coherence", zip(times, coh), _FLOAT_FMT))}
 
     trace = CoherenceTrace(times, coh, "offdiag_factor")
     sel = model_select(trace)
@@ -217,8 +221,9 @@ def _run_high_temperature(cfg: ScenarioConfig, out_dir: Path) -> dict:
     p = {**p, "t_lo": t_lo, "t_hi": t_hi}
     times = np.linspace(t_lo, t_hi, int(p["n_points"]))
     coh = _coherence_from_exponent(sysp, bath, times, d)
-    files = {"trace.csv": _write_text(out_dir / "trace.csv",
-                                      _trace_csv(times, coh))}
+    files = {"trace.csv": _write_text(
+        out_dir / "trace.csv",
+        _csv_text("t,coherence", zip(times, coh), _FLOAT_FMT))}
 
     trace = CoherenceTrace(times, coh, "offdiag_factor")
     sel = model_select(trace)
@@ -257,8 +262,9 @@ def _run_separation_sweep(cfg: ScenarioConfig, out_dir: Path) -> dict:
     for d in seps:
         coh = np.exp(-d * d * theta / sysp.hbar)
         sub = f"d_{d:g}"
-        files[f"{sub}/trace.csv"] = _write_text(out_dir / sub / "trace.csv",
-                                                _trace_csv(times, coh))
+        files[f"{sub}/trace.csv"] = _write_text(
+            out_dir / sub / "trace.csv",
+            _csv_text("t,coherence", zip(times, coh), _FLOAT_FMT))
         fit = fit_power_law(CoherenceTrace(times, coh, "offdiag_factor"))
         alpha = alpha_theory(sysp, bath, d)
         doc = {"model": "power_law", "alpha_fit": fit.alpha_fit,
@@ -302,13 +308,11 @@ def _run_full_vs_dephasing(cfg: ScenarioConfig, out_dir: Path) -> dict:
                            record_every=int(p["record_every"]))
     result = evolve_full(rho0, sysp, bath, run_cfg, cat_spec=spec)
 
-    lines = ["t,visibility,trace,herm_residual,purity"]
-    for i in range(len(result.times)):
-        lines.append(",".join(_ROUND_TRIP_FMT.format(v) for v in (
-            result.times[i], result.visibility[i], result.trace[i],
-            result.herm_residual[i], result.purity[i])))
-    files = {"vis_full.csv": _write_text(out_dir / "vis_full.csv",
-                                         "\n".join(lines) + "\n"),
+    vis_text = _csv_text(
+        "t,visibility,trace,herm_residual,purity",
+        zip(result.times, result.visibility, result.trace,
+            result.herm_residual, result.purity), _ROUND_TRIP_FMT)
+    files = {"vis_full.csv": _write_text(out_dir / "vis_full.csv", vis_text),
              "rho_final.bin": write_snapshot(result.final,
                                              out_dir / "rho_final.bin")}
 
@@ -324,8 +328,7 @@ def _run_full_vs_dephasing(cfg: ScenarioConfig, out_dir: Path) -> dict:
     t_cmp = min(0.02, p["t_end"])
     dep_cfg = EvolveConfig(dt=dt, t_end=t_cmp, record_every=10 ** 9)
     toggles = TermToggles(kinetic=False, potential=False)
-    dep_run = evolve_full(rho0, sysp, bath, dep_cfg, terms=toggles,
-                          diagnostics=False)
+    dep_run = evolve_full(rho0, sysp, bath, dep_cfg, terms=toggles)
     dep_exact = evolve_dephasing(rho0, sysp, bath, t_cmp)
     max_norm = float(np.max(np.abs(dep_run.final.values - dep_exact.values)))
     checks.append(_check("dephasing_match_max_norm", max_norm, 1e-6,

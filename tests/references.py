@@ -4,11 +4,12 @@ Time-domain references for the decoherence exponent: the literal
 nestings cost O((Lambda t)^2) and are unusable at Lambda*t ~ 1e5, so they
 check the production routes at small t.  Full-grid diagnostics and the
 pure-dephasing factor, the references of the solver's per-step scalars.
-The packed kinetic flow with its parity blocks applied one after the
-other, the bit-for-bit reference of the concurrent one; the packed
-path's whole-grid test, its unpack and its four-product probe, the
-references of the top-row versions.  The grid's fringe visibility and a
-config writer, which no scenario needs.
+The mirror flow with its parity blocks applied one after the other, the
+bit-for-bit reference of the concurrent one; the mirror path's
+whole-grid test, its unpack and its four-product probe, the references
+of the top-row versions.  The grid's fringe visibility, read from the
+complex grid by two matrix-vector products, the reference of the packed
+probe on either row count.  A config writer, which no scenario needs.
 """
 import json
 import math
@@ -18,8 +19,7 @@ import numpy as np
 from qbmlab import quadrature
 from qbmlab.coefficients import decoherence_exponent, diffusion_coefficient
 from qbmlab.evolution import (CatStateSpec, DensityGrid, _cat_probe,
-                              _dst_matrix, _half_bottom, _mirror_symmetric,
-                              _probe_visibility)
+                              _dst_matrix, _half_bottom, _mirror_symmetric)
 from qbmlab.scenarios import ScenarioConfig
 from qbmlab.kernels import noise_kernel_quadrature, noise_kernel_zero_T_closed
 from qbmlab.params import BathParams, SystemParams
@@ -173,13 +173,23 @@ def half_visibility(top: np.ndarray, probe) -> float:
     return 2.0 * cross / ((wp @ vp) + (wm @ vm))
 
 
+def probe_visibility(v: np.ndarray, probe) -> float:
+    """2|rho(x+, x-)| / (rho(x+, x+) + rho(x-, x-)) of the complex grid
+    values v at the weights of _cat_probe, or 1 for None."""
+    if probe is None:
+        return 1.0
+    wp, wm = probe
+    vp, vm = v @ wp, v @ wm
+    return 2.0 * abs(wp @ vm) / ((wp @ vp).real + (wm @ vm).real)
+
+
 def fringe_visibility(rho: DensityGrid, spec: CatStateSpec) -> float:
     """2|rho(x+, x-)| / (rho(x+,x+) + rho(x-,x-)) at the packet centers
     x+- = grid_center +- separation/2, read from the grid's DST-I
     sine-series interpolant (exact at grid nodes).  Returns 1 for
     separation = 0 (the two sample points coincide)."""
-    return _probe_visibility(rho.values,
-                             _cat_probe(_dst_matrix(rho.n), rho.extent, spec))
+    return probe_visibility(rho.values,
+                            _cat_probe(_dst_matrix(rho.n), rho.extent, spec))
 
 
 def save_config(cfg: ScenarioConfig, path) -> None:

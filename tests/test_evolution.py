@@ -1,6 +1,7 @@
 """Grid evolution: dephasing closed form, the Strang-split solver vs an
 exact Fourier-characteristics solution, conservation laws, snapshot I/O."""
 import multiprocessing
+import re
 import struct
 import threading
 import tracemalloc
@@ -21,11 +22,11 @@ from qbmlab.evolution import (MIN_STEPS, RESOLVED_VISIBILITY,
                               free_cat_log_visibility, init_cat_state,
                               min_eigenvalue_estimate, read_snapshot,
                               suggest_timestep, write_snapshot)
-from qbmlab.evolution import (_cat_probe, _dst_matrix, _half_blocks,
-                              _half_flow, _half_grid, _half_visibility,
-                              _half_work, _kinetic_flow,
-                              _laplacian_eigenvalues, _mirror_symmetric,
-                              _packable, _parity_blocks, _toeplitz)
+from qbmlab.evolution import (_block_flow, _cat_probe, _dst_matrix,
+                              _flow_block, _half_blocks, _half_flow,
+                              _half_work, _laplacian_eigenvalues,
+                              _mirror_symmetric, _packable,
+                              _packed_visibility, _toeplitz, _unpack)
 from references import (dephasing_factor, fringe_visibility, grid_trace,
                         half_grid, half_visibility, hermiticity_residual,
                         packable, purity, serial_half_flow)
@@ -271,24 +272,6 @@ def test_diffusion_only_run_matches_dephasing_closed_form():
     assert np.abs(run.final.values - ref.values).max() <= 1e-6
 
 
-def test_run_without_diagnostics_keeps_the_grid():
-    spec = CatStateSpec(separation=1.0, width=0.5)
-    rho0 = init_cat_state(spec, 128, 7.0)
-    cfg = EvolveConfig(dt=2e-3, t_end=0.02, record_every=4)
-    toggles = TermToggles(kinetic=False, potential=False)
-    full = evolve_full(rho0, SYS, BATH, cfg, terms=toggles, cat_spec=spec)
-    bare = evolve_full(rho0, SYS, BATH, cfg, terms=toggles, cat_spec=spec,
-                       diagnostics=False)
-    assert bare.snapshot_steps == full.snapshot_steps
-    for a, b in zip(bare.snapshots, full.snapshots):
-        np.testing.assert_array_equal(a.values, b.values)
-    np.testing.assert_array_equal(bare.purity, full.purity)
-    for name in ("trace", "herm_residual", "visibility"):
-        values = getattr(bare, name)
-        assert values.shape == bare.times.shape
-        assert np.all(np.isnan(values))
-
-
 def test_free_gaussian_spreading():
     # Kinetic term only: position variance grows as
     # sigma^2 + (hbar t / (2 M sigma))^2 for a minimum-uncertainty packet.
@@ -307,12 +290,18 @@ def test_free_gaussian_spreading():
     assert var == pytest.approx(expect, rel=5e-3)
 
 
-# ------------------------------------------------- parity kinetic flow
+# ------------------------------------------------- packed kinetic flow
 
 def _random_rho(n: int, seed: int) -> np.ndarray:
     # neither Hermitian nor symmetric under the mirror x_i <-> x_{n-1-i}
     rng = np.random.default_rng(seed)
     return rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
+
+
+def _random_hermitian(n: int, seed: int) -> np.ndarray:
+    # exactly rho = rho^H, not real and not mirror-symmetric
+    values = _random_rho(n, seed)
+    return 0.5 * (values + values.conj().T)
 
 
 def _theta(n: int, dx: float, h: float) -> np.ndarray:
@@ -327,11 +316,6 @@ def _phases(n: int, dx: float, h: float) -> np.ndarray:
 def _dense_propagator(n: int, dx: float, h: float) -> np.ndarray:
     s = _dst_matrix(n)
     return (s * _phases(n, dx, h)) @ s
-
-
-def _flow_buffers(n: int):
-    return (np.empty((n, n), dtype=complex),
-            np.empty((n // 2, n), dtype=complex))
 
 
 @pytest.mark.parametrize("n", [64, 65, 256, 511])
@@ -367,16 +351,26 @@ def _coarse_cat(n: int, spec: CatStateSpec, extent: float) -> np.ndarray:
     return np.outer(g, g).astype(complex)
 
 
+def _full_block(n: int, dx: float, h: float) -> tuple:
+    # the one block of the kinetic flow on all rows of Q: B = L = S
+    s = _dst_matrix(n)
+    return _flow_block(s, s, _theta(n, dx, h))
+
+
 @pytest.mark.parametrize("n", [64, 65, 160, 161])
 def test_parity_flow_matches_dense_propagator(n):
+    # the single-block flow on all n rows of Q, for a Hermitian state
+    # that is not mirror-symmetric
     dx, h = 8.0 / (n - 1), 3e-3
     u = _dense_propagator(n, dx, h)
-    rho = _random_rho(n, n)
+    rho = _random_hermitian(n, n)
     ref = u @ rho @ u.conj().T
-    blocks = _parity_blocks(_dst_matrix(n), _phases(n, dx, h))
     assert not _mirror_symmetric(rho)
-    _kinetic_flow(rho, *_flow_buffers(n), blocks)
-    assert np.abs(rho - ref).max() <= 1e-13 * np.abs(ref).max()
+    q = rho.real + rho.imag
+    _block_flow(q, np.empty_like(q), _full_block(n, dx, h))
+    out = _unpack(q)
+    assert np.abs(out - ref).max() <= 1e-13 * np.abs(ref).max()
+    np.testing.assert_array_equal(out, out.conj().T)
 
 
 def _packed_top(rho: np.ndarray) -> np.ndarray:
@@ -391,7 +385,7 @@ def _half_flow_grid(rho: np.ndarray, dx: float, h: float) -> np.ndarray:
     top = _packed_top(rho)
     _half_flow(top, _half_work(n), _half_blocks(_dst_matrix(n),
                                                 _theta(n, dx, h)))
-    return _half_grid(top)
+    return _unpack(top)
 
 
 @settings(max_examples=300, deadline=None)
@@ -434,7 +428,17 @@ def test_half_grid_equals_whole_grid_unpack(n):
     # formula it replaces
     q = np.random.default_rng(7000 + n).standard_normal((n, n))
     top = (q + q[::-1, ::-1])[:n - n // 2]
-    assert np.array_equal(_half_grid(top), half_grid(top))
+    assert np.array_equal(_unpack(top), half_grid(top))
+
+
+@pytest.mark.parametrize("n", [64, 65, 160, 161])
+def test_full_row_unpack_is_exactly_hermitian(n):
+    # all n rows: (Q + Q^T)/2 + i (Q - Q^T)/2, exactly Hermitian
+    q = np.random.default_rng(7100 + n).standard_normal((n, n))
+    rho = _unpack(q)
+    np.testing.assert_array_equal(rho.real, 0.5 * q + 0.5 * q.T)
+    np.testing.assert_array_equal(rho.imag, 0.5 * q - 0.5 * q.T)
+    np.testing.assert_array_equal(rho, rho.conj().T)
 
 
 @pytest.mark.parametrize("n", [64, 65, 160, 161])
@@ -448,7 +452,7 @@ def test_packed_probe_matches_four_products(n, separation):
     if probe is not None:
         w = np.stack(probe, axis=1)
         packed = (w, np.ascontiguousarray(w[::-1]))
-    got, want = _half_visibility(top, packed), half_visibility(top, probe)
+    got, want = _packed_visibility(top, packed), half_visibility(top, probe)
     assert got == pytest.approx(want, rel=1e-14, abs=0.0)
     if probe is None:
         assert got == want == 1.0
@@ -539,7 +543,7 @@ def test_child_forked_after_a_flow_completes_a_flow():
 
 def test_mirror_flow_skips_non_finite_state():
     # NaN != NaN: a symmetric state holding a NaN is not taken as
-    # mirror-symmetric, so it would run on the full grid
+    # mirror-symmetric
     n = 64
     rho = _mirror_rho(n, 3)
     assert _mirror_symmetric(rho)
@@ -549,8 +553,9 @@ def test_mirror_flow_skips_non_finite_state():
 
 @pytest.mark.parametrize("n", [64, 65, 160, 161])
 def test_kinetic_run_matches_dense_propagator(n):
-    # off-centre grid, and a last step half as long as the others
-    values = _random_rho(n, 1000 + n)
+    # off-centre grid, a Hermitian state that is not mirror-symmetric, and
+    # a last step half as long as the others
+    values = _random_hermitian(n, 1000 + n)
     rho0 = DensityGrid(n=n, extent=(1.3 - 4.0, 1.3 + 4.0), values=values,
                        time=0.0)
     dt = 2e-3
@@ -576,19 +581,17 @@ def _peak_bytes(flow) -> int:
     return peak
 
 
-def _blocks_512() -> tuple:
-    n = 512
-    return _parity_blocks(_dst_matrix(n), _phases(n, 12.0 / (n - 1), 1e-3))
-
-
 def test_kinetic_flow_allocates_no_full_grid():
-    # the fold, the four half-size products, the unfold and the
-    # transposes all work in the caller's arrays
-    rho = _random_rho(512, 7)
+    # the four products and the phases of the single-block flow work in
+    # the caller's arrays; what is left is numpy's ufunc buffers for the
+    # transposed operand.  q is the packed real grid of all 512 rows
+    n = 512
+    rho = _random_hermitian(n, 7)
     assert not _mirror_symmetric(rho)
-    blocks, (buf, scratch) = _blocks_512(), _flow_buffers(512)
-    peak = _peak_bytes(lambda: _kinetic_flow(rho, buf, scratch, blocks))
-    assert peak < rho.nbytes / 4
+    q = rho.real + rho.imag
+    tmp, block = np.empty_like(q), _full_block(n, 12.0 / (n - 1), 1e-3)
+    peak = _peak_bytes(lambda: _block_flow(q, tmp, block))
+    assert peak < q.nbytes / 4
 
 
 def test_mirror_flow_allocates_no_full_grid():
@@ -681,17 +684,56 @@ def test_half_path_run_matches_dense_propagator(n, frequency):
 @pytest.mark.parametrize("n", [64, 65, 160, 161])
 @pytest.mark.parametrize("frequency", [0.0, 2.0])
 def test_non_hermitian_mirror_state_takes_full_path(n, frequency):
-    # mirror-symmetric but not Hermitian: the packed state cannot hold it
+    # the packed state holds only Hermitian grids: a state that is not
+    # exactly Hermitian is refused, mirror-symmetric or not, or with one
+    # diagonal entry's imaginary part 1e-300, and the message names
+    # max|rho0 - rho0^H|
     sys = SystemParams(frequency=frequency)
-    values = _mirror_rho(n, 3000 + n)
-    rho0 = DensityGrid(n=n, extent=(-4.0, 4.0), values=values, time=0.0)
+    nudged = _hermitian_mirror_rho(n, 3000 + n)
+    nudged[2, 2] += 1e-300j
+    for values in (_mirror_rho(n, 3000 + n), _random_rho(n, 3000 + n),
+                   nudged):
+        rho0 = DensityGrid(n=n, extent=(-4.0, 4.0), values=values, time=0.0)
+        residual = float(np.abs(values - values.conj().T).max())
+        assert residual > 0.0
+        with pytest.raises(ValueError, match=re.escape(
+                f"max|rho0 - rho0^H| = {residual:.3g}")):
+            evolve_full(rho0, sys, BATH, EvolveConfig(dt=2e-3, t_end=6e-3))
+
+
+@pytest.mark.parametrize("n", [64, 65, 160, 161])
+def test_off_centre_run_matches_dense_strang_run(n):
+    # a Hermitian state on an off-centre grid, with diffusion and the
+    # potential on: x^2 - x'^2 is not mirror-symmetric, so all n rows
+    sys = SystemParams(frequency=2.0)
+    values = _random_hermitian(n, 3100 + n)
+    rho0 = DensityGrid(n=n, extent=(1.7 - 4.0, 1.7 + 4.0), values=values,
+                       time=0.0)
     dt = 2e-3
     run = evolve_full(rho0, sys, BATH,
                       EvolveConfig(dt=dt, t_end=3 * dt, record_every=10 ** 6))
     assert run.mirror_steps == 0
     ref = _dense_strang_run(values, rho0.extent, sys, BATH, dt, 3)
     assert np.abs(run.final.values - ref).max() <= 1e-13 * np.abs(ref).max()
-    assert run.herm_residual.min() > 1e-5
+    np.testing.assert_array_equal(run.herm_residual, 0.0)
+
+
+@pytest.mark.parametrize("n", [160, 161])
+def test_full_row_diagnostics_match_references(n):
+    # an off-centre trapped cat runs on all n rows; every step's scalars
+    # against the references on its unpacked grid
+    spec = CatStateSpec(separation=1.0, width=0.5, grid_center=1.7)
+    run = evolve_full(init_cat_state(spec, n, 8.0), SystemParams(frequency=2.0),
+                      BATH, EvolveConfig(dt=2e-3, t_end=0.01, record_every=1),
+                      cat_spec=spec)
+    assert run.mirror_steps == 0
+    assert run.snapshot_steps == list(range(6))
+    for k, grid in enumerate(run.snapshots):
+        assert run.trace[k] == pytest.approx(grid_trace(grid), rel=1e-13)
+        assert run.purity[k] == pytest.approx(purity(grid), rel=1e-13)
+        assert run.herm_residual[k] == hermiticity_residual(grid) == 0.0
+        assert run.visibility[k] == pytest.approx(
+            fringe_visibility(grid, spec), rel=1e-13)
 
 
 @pytest.mark.parametrize("n", [160, 161])
@@ -723,19 +765,17 @@ def test_half_path_diagnostics_match_full_grid(n):
 def test_non_finite_state_raises_on_either_path(n, symmetric):
     # hbar h lam / 2M overflows: the kinetic phase, and so the state, is
     # not finite after the first step's flow, on the top rows of a
-    # centred cat or on the full grid of a random state
+    # centred cat or on all rows of a random Hermitian state
     spec = CatStateSpec(separation=1.0, width=0.5)
     rho0 = init_cat_state(spec, n, 8.0)
     if not symmetric:
         rho0 = DensityGrid(n=n, extent=rho0.extent, time=0.0,
-                           values=_random_rho(n, n))
+                           values=_random_hermitian(n, n))
     assert _mirror_symmetric(rho0.values) == symmetric
-    for diagnostics in (True, False):
-        with pytest.raises(RuntimeError, match=r"non-finite values detected "
-                                               r"at step 1 \(t = 0.1\)"):
-            evolve_full(rho0, SystemParams(mass=1e-320), BATH,
-                        EvolveConfig(dt=0.1, t_end=0.3), cat_spec=spec,
-                        diagnostics=diagnostics)
+    with pytest.raises(RuntimeError, match=r"non-finite values detected "
+                                           r"at step 1 \(t = 0.1\)"):
+        evolve_full(rho0, SystemParams(mass=1e-320), BATH,
+                    EvolveConfig(dt=0.1, t_end=0.3), cat_spec=spec)
 
 
 def test_off_centre_potential_takes_full_path():
@@ -810,11 +850,9 @@ def test_nonfinite_input_raises_runtime_error():
     with pytest.raises(RuntimeError, match="Theta"):
         evolve_full(rho0, SYS, huge, cfg)
     # hbar h lam / 2M overflows: the kinetic phase, and so the state, is not
-    for diagnostics in (True, False):
-        with pytest.raises(RuntimeError, match="non-finite values detected "
-                                               "at step 1 "):
-            evolve_full(rho0, SystemParams(mass=1e-320), BATH, cfg,
-                        diagnostics=diagnostics)
+    with pytest.raises(RuntimeError, match="non-finite values detected "
+                                           "at step 1 "):
+        evolve_full(rho0, SystemParams(mass=1e-320), BATH, cfg)
 
 
 def _t_res_sici(sys, bath, separation: float) -> float:
